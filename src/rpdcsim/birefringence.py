@@ -6,9 +6,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .polarization import linear_polarizer, rotation_deg
+from .polarization import linear_polarizer, rotated_diagonal
 
 NM_PER_MM = 1e6
 
@@ -82,10 +81,12 @@ class AxisCalibration:
     def alphas(self) -> np.ndarray:
         return np.array([a for _, a in self.samples])
 
-    def _interpolator(self) -> PchipInterpolator:
-        # memoized: construction is O(n), evaluation is cheap
+    def _interpolator(self):
+        # memoized: construction is O(n), evaluation is cheap. scipy is
+        # imported here, so only calibration lookups pay for loading it
         memo = getattr(self, "_interp_memo", None)
         if memo is None:
+            from scipy.interpolate import PchipInterpolator
             memo = PchipInterpolator(self.thetas, self.alphas,
                                      extrapolate=False)
             object.__setattr__(self, "_interp_memo", memo)
@@ -142,10 +143,9 @@ def axis_from_offset(cal: AxisCalibration, theta_deg: float) -> float:
 
 def retarder_jones(r: RotatedRetarder) -> np.ndarray:
     """2x2 Jones matrix of the rotated retarder."""
-    d = r.retardance_rad
-    inner = np.diag([np.exp(-0.5j * d), np.exp(0.5j * d)])
-    j = rotation_deg(r.alpha_deg) @ inner @ rotation_deg(-r.alpha_deg)
-    return r.amplitude_transmittance * j
+    half = 0.5j * r.retardance_rad
+    t = r.amplitude_transmittance
+    return rotated_diagonal(r.alpha_deg, t * np.exp(-half), t * np.exp(half))
 
 
 def crossed_polarizer_transmission(r: RotatedRetarder,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -39,6 +40,8 @@ NOISE_FIELDS = ("counts_per_basis",)
 
 TOMOGRAPHY_STATES = ("H", "V", "D", "A", "R", "L")
 
+MAX_RANGE_POINTS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -61,25 +64,34 @@ def _expand_range(value, name):
             raise ValueError(f"{name}: unknown range keys: "
                              f"{', '.join(unknown)}")
         try:
-            start = float(value["start"])
-            stop = float(value["stop"])
-            step = float(value["step"])
+            start, stop, step = (float(value[k])
+                                 for k in ("start", "stop", "step"))
         except KeyError as exc:
             raise ValueError(f"{name}: range needs start, stop, step "
                              f"(missing {exc.args[0]})") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"{name}: range start, stop and step must be "
+                             f"numbers, got {value!r}") from None
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"{name}: range start, stop and step must be "
+                             f"finite, got {start}, {stop}, {step}")
         if step <= 0:
             raise ValueError(f"{name}: step must be > 0, got {step}")
         if stop < start:
             raise ValueError(f"{name}: stop {stop} < start {start}")
-        out = []
-        i = 0
-        while True:
-            v = start + i * step
-            if v > stop + 1e-12:
-                break
-            out.append(v)
-            i += 1
-        return tuple(out)
+        # the points are start + i*step while that is <= stop + 1e-12; the
+        # quotient (inf if it overflows) estimates their count, and rounding
+        # can move the true count past it by one either way
+        span = (stop - start) / step
+        n = int(span) + 1 if span < MAX_RANGE_POINTS else MAX_RANGE_POINTS + 1
+        while n <= MAX_RANGE_POINTS and start + n * step <= stop + 1e-12:
+            n += 1
+        while n > 1 and start + (n - 1) * step > stop + 1e-12:
+            n -= 1
+        if n > MAX_RANGE_POINTS:
+            raise ValueError(f"{name}: range has more than "
+                             f"{MAX_RANGE_POINTS} points")
+        return tuple(start + i * step for i in range(n))
     if isinstance(value, (list, tuple)):
         if not value:
             raise ValueError(f"{name}: sweep range must be non-empty")
@@ -190,9 +202,15 @@ def _resolve_config(raw: dict, args) -> ExperimentConfig:
                             seed=int(seed))
 
 
-def _config_digest(cfg: ExperimentConfig) -> str:
+def _config_digest(cfg: ExperimentConfig, args) -> str:
     # out_dir is deliberately not hashed: the same run written elsewhere
-    # should produce byte-identical artifacts
+    # should produce byte-identical artifacts. The one data file the
+    # subcommand reads is hashed by its bytes
+    records = getattr(args, "records", None)
+    read = {"axis-cal": cfg.calibration, "find-axis": None,
+            "tomography": records or cfg.device}.get(args.command, cfg.device)
+    inputs = {} if read is None else {
+        read: hashlib.sha256(Path(read).read_bytes()).hexdigest()}
     canonical = json.dumps(
         {
             "device": cfg.device,
@@ -203,6 +221,10 @@ def _config_digest(cfg: ExperimentConfig) -> str:
                            else list(cfg.thetas_deg)),
             "counts_per_basis": cfg.counts_per_basis,
             "seed": cfg.seed,
+            "records": records,
+            "find_axis": [getattr(args, f, None)
+                          for f in ("alpha", "retardance", "transmittance")],
+            "inputs": inputs,
         },
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -371,7 +393,7 @@ def main(argv=None) -> int:
     try:
         raw = _load_config_file(args.config)
         cfg = _resolve_config(raw, args)
-        meta = {"config_sha256": _config_digest(cfg), "seed": cfg.seed}
+        meta = {"config_sha256": _config_digest(cfg, args), "seed": cfg.seed}
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "axis-cal":

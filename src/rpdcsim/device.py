@@ -27,7 +27,7 @@ from .polarization import (
     cardinal_state,
     density_to_stokes,
     jones_to_density,
-    rotation_deg,
+    rotated_diagonal,
 )
 
 POWER_CLAMP = 1e-15
@@ -116,20 +116,8 @@ def make_pdc_device(alpha_deg: float, k_slow: float, k_fast: float,
         retardance_rad=retardance_rad)
 
 
-@dataclass(frozen=True)
-class PortOutput:
-    """Lab-frame Jones vectors leaving the two arms."""
-
-    port_t: JonesVector
-    port_r: JonesVector
-
-    @property
-    def total_power(self) -> float:
-        return self.port_t.power + self.port_r.power
-
-
-def port_transfer_matrices(dev: RpdcDevice) -> tuple:
-    """Lab-frame Jones matrices (j_t, j_r) of the cross and bar ports.
+def port_transfer_matrices(dev: RpdcDevice) -> np.ndarray:
+    """Lab-frame Jones matrices (j_t, j_r) of the cross and bar ports, stacked.
 
     In the device frame both ports are diagonal over (slow, fast): the
     couplers contribute their bar/cross entries per axis and the residual
@@ -139,23 +127,11 @@ def port_transfer_matrices(dev: RpdcDevice) -> tuple:
     m_slow = coupler_transfer_matrix(dev.coupler_slow)
     m_fast = coupler_transfer_matrix(dev.coupler_fast)
     half = 0.5j * dev.retardance_rad
-    ret = np.array([np.exp(half), np.exp(-half)])
-    rot_in = rotation_deg(-dev.alpha_deg).astype(complex)
-    rot_out = rotation_deg(dev.alpha_deg).astype(complex)
     t = dev.amplitude_transmittance
-    cross = np.array([m_slow[1, 0], m_fast[1, 0]])
-    bar = np.array([m_slow[0, 0], m_fast[0, 0]])
-    j_t = t * rot_out @ np.diag(cross * ret) @ rot_in
-    j_r = t * rot_out @ np.diag(bar * ret) @ rot_in
-    return j_t, j_r
-
-
-def rpdc_transfer(dev: RpdcDevice, field: JonesVector) -> PortOutput:
-    """Propagate a lab-frame input through the device to both ports."""
-    j_t, j_r = port_transfer_matrices(dev)
-    arr = field.as_array()
-    return PortOutput(port_t=JonesVector.from_array(j_t @ arr),
-                      port_r=JonesVector.from_array(j_r @ arr))
+    # rows: cross then bar entry, per axis
+    slow = t * np.exp(half) * np.array([m_slow[1, 0], m_slow[0, 0]])
+    fast = t * np.exp(-half) * np.array([m_fast[1, 0], m_fast[0, 0]])
+    return rotated_diagonal(dev.alpha_deg, slow, fast)
 
 
 @dataclass(frozen=True)
@@ -169,16 +145,19 @@ class PortPowers:
 
 
 def axis_port_powers(dev: RpdcDevice) -> PortPowers:
-    """Feed unit power along each device axis, read both output ports."""
-    a = dev.alpha_deg
-    slow_in = JonesVector.from_array(rotation_deg(a) @ np.array([1.0, 0.0]))
-    fast_in = JonesVector.from_array(rotation_deg(a) @ np.array([0.0, 1.0]))
-    out_slow = rpdc_transfer(dev, slow_in)
-    out_fast = rpdc_transfer(dev, fast_in)
-    return PortPowers(t_slow=out_slow.port_t.power,
-                      t_fast=out_fast.port_t.power,
-                      r_slow=out_slow.port_r.power,
-                      r_fast=out_fast.port_r.power)
+    """Feed unit power along each device axis, read both output ports.
+
+    Both ports are diagonal over (slow, fast) in the device frame, so an
+    axis-aligned input leaves each port with t^2 times the squared modulus
+    of that axis's coupler entry: cross for port T, bar for port R.
+    """
+    t2 = dev.amplitude_transmittance ** 2
+    m_slow = coupler_transfer_matrix(dev.coupler_slow)
+    m_fast = coupler_transfer_matrix(dev.coupler_fast)
+    return PortPowers(t_slow=t2 * abs(complex(m_slow[1, 0])) ** 2,
+                      t_fast=t2 * abs(complex(m_fast[1, 0])) ** 2,
+                      r_slow=t2 * abs(complex(m_slow[0, 0])) ** 2,
+                      r_fast=t2 * abs(complex(m_fast[0, 0])) ** 2)
 
 
 def extinction_db(p_num: float, p_den: float,
@@ -235,9 +214,8 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     theta_in = {"H": 0.0, "V": 90.0, "D": 45.0, "A": 135.0}[input_label]
     a = dev.alpha_deg
     half = 0.5j * dev.retardance_rad
-    region = (dev.amplitude_transmittance
-              * rotation_deg(a) @ np.diag([np.exp(half), np.exp(-half)])
-              @ rotation_deg(-a))
+    t = dev.amplitude_transmittance
+    region = rotated_diagonal(a, t * np.exp(half), t * np.exp(-half))
     out = region @ cardinal_state(input_label).as_array()
 
     expected_angle = (2.0 * a - theta_in) % 180.0

@@ -43,11 +43,19 @@ def rotation_deg(angle_deg: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def rotated_diagonal(angle_deg: float, d0, d1) -> np.ndarray:
+    """Jones operator ``R(a) diag(d0, d1) R(-a)`` with ``a = angle_deg``.
+
+    It scales the linear polarization at ``a`` by ``d0`` and the one at
+    ``a + 90`` by ``d1``; 1-D arrays of one length give a stack of operators.
+    """
+    d = np.array([d0, d1], dtype=complex).T[..., None, :]
+    return (rotation_deg(angle_deg) * d) @ rotation_deg(-angle_deg)
+
+
 def linear_polarizer(angle_deg: float) -> np.ndarray:
     """Jones projector onto the linear polarization at ``angle_deg``."""
-    a = np.deg2rad(angle_deg)
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
+    return rotated_diagonal(angle_deg, 1.0, 0.0)
 
 
 @dataclass(frozen=True)

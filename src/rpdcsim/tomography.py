@@ -13,6 +13,10 @@ the HWP angle shifts by alpha/2, which rotates the analyzed pair onto the
 device's slow/fast axes. Outcome 0 is the cross port (slow axis), outcome
 1 the bar port.
 
+Each outcome is a POVM effect E = (J W)^dag (J W), for plate pair W and
+port Jones matrix J, and gives port power Re tr(E rho). The six effects are
+built once per device and reused by every later measurement through it.
+
 Reconstruction: linear Stokes inversion (raw differences of the paired
 probabilities; may be unphysical on noisy data) and maximum-likelihood
 estimation over the Bloch ball. The three bases measure the three Bloch
@@ -54,10 +58,15 @@ BLOCH_AXES = ("DA", "RL", "HV")
 # cap on the safeguarded Newton steps of one per-axis solve; bisection
 # alone narrows (-1, 1) below 1e-16 in 55 steps
 _AXIS_STEPS = 100
+# boundary case: a per-axis root stops once its Newton step is at most _XATOL
+# times its distance to +-1; the multiplier once |sum x_i^2 - 1| <= _FATOL
+_XATOL = 1e-10
+_FATOL = 1e-12
+_MAX_STEPS = 800
 
 
 class MleDivergenceError(RuntimeError):
-    """MLE failed to converge; `.result` carries the best feasible iterate."""
+    """MLE failed to converge; `.result` holds the last iterate in the ball."""
 
     def __init__(self, message, result):
         super().__init__(message)
@@ -99,24 +108,6 @@ class MeasurementRecord:
 
 
 @dataclass(frozen=True)
-class MleConfig:
-    """Tolerances of the boundary-case root-find.
-
-    xatol: each per-axis root x_i(lambda) stops once its Newton step is
-        at most this times the distance of x_i to the nearer of +-1.
-    fatol: the multiplier lambda is converged once |sum x_i^2 - 1| is at
-        most this.
-    max_iterations: cap on steps of the multiplier root-find.
-    restarts: accepted for compatibility; has no effect.
-    """
-
-    xatol: float = 1e-10
-    fatol: float = 1e-12
-    max_iterations: int = 800
-    restarts: int = 3
-
-
-@dataclass(frozen=True)
 class NoiseConfig:
     """counts_per_basis = None keeps records noiseless (the default)."""
 
@@ -130,20 +121,13 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """Reconstruction output.
-
-    nll_trace holds, for each multiplier step plus the closing one, the
-    running best negative log-likelihood of the iterate projected into
-    the Bloch ball: it never increases, has iterations + 1 entries and
-    ends at -log_likelihood.
-    """
+    """Reconstruction output; iterations counts multiplier steps."""
 
     rho: DensityMatrix
     stokes: StokesVector
     log_likelihood: float
     iterations: int
     converged: bool
-    nll_trace: tuple = ()
 
     @property
     def physical(self) -> bool:
@@ -164,19 +148,44 @@ def _waveplate_operator(qwp_deg: float, hwp_deg: float) -> np.ndarray:
     return hwp @ qwp
 
 
+def _effects(j: np.ndarray, settings: tuple) -> np.ndarray:
+    """Effects (J W)^dag (J W) of the stacked port matrices J, plates W."""
+    jw = j @ _waveplate_operator(*settings)
+    return jw.conj().swapaxes(-1, -2) @ jw
+
+
+def povm_effects(device: RpdcDevice) -> np.ndarray:
+    """Effects through `device`, shape (3, 2, 2, 2): basis, outcome, 2x2.
+
+    Built once per device object and kept on it; a device made by
+    `with_length` or `dataclasses.replace` builds its own.
+    """
+    memo = getattr(device, "_effects_memo", None)
+    if memo is None:
+        j = port_transfer_matrices(device)
+        memo = np.array([_effects(j, waveplate_settings(b, device.alpha_deg))
+                         for b in BASES])
+        memo.flags.writeable = False
+        object.__setattr__(device, "_effects_memo", memo)
+    return memo
+
+
+def _powers(effects: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    """Re tr(E rho) for each effect E over the leading axes, clamped at 0."""
+    p = np.einsum("...ij,ji->...", effects, rho.matrix).real
+    return np.maximum(p, 0.0)
+
+
 def project_probabilities(rho: DensityMatrix, device: RpdcDevice,
                           settings: tuple) -> tuple:
     """Port powers (p0, p1) for a state analyzed at one plate setting.
 
     p0 is the cross-port power, p1 the bar-port power; for a lossless
     ideal device these are the Born probabilities of the analyzed basis.
+    Any setting is allowed, so its effects are built anew on each call.
     """
-    w = _waveplate_operator(*settings)
-    rho_in = w @ rho.matrix @ w.conj().T
-    j_t, j_r = port_transfer_matrices(device)
-    p0 = float(np.real(np.trace(j_t @ rho_in @ j_t.conj().T)))
-    p1 = float(np.real(np.trace(j_r @ rho_in @ j_r.conj().T)))
-    return max(p0, 0.0), max(p1, 0.0)
+    p0, p1 = _powers(_effects(port_transfer_matrices(device), settings), rho)
+    return float(p0), float(p1)
 
 
 def measure_records(state: DensityMatrix, device: RpdcDevice,
@@ -188,9 +197,8 @@ def measure_records(state: DensityMatrix, device: RpdcDevice,
     by (noise.seed, basis index); the record powers become frequencies.
     """
     records = []
-    for idx, basis in enumerate(BASES):
-        settings = waveplate_settings(basis, device.alpha_deg)
-        p0, p1 = project_probabilities(state, device, settings)
+    for idx, (basis, (p0, p1)) in enumerate(
+            zip(BASES, _powers(povm_effects(device), state).tolist())):
         if noise is None or noise.counts_per_basis is None:
             records.append(MeasurementRecord(basis, p0, p1))
             continue
@@ -261,15 +269,14 @@ def linear_reconstruct(records) -> TomographyResult:
                             iterations=0, converged=True)
 
 
-def _axis_root(a: float, b: float, lam: float, x: float,
-               xatol: float) -> float:
+def _axis_root(a: float, b: float, lam: float, x: float) -> float:
     """Minimizer over [-1, 1] of -a log(1+x) - b log(1-x) + lam x^2.
 
     Inside the interval it is the only root there of the cubic
     g(x) = x (a + b + 2 lam (1 - x^2)) - (a - b), the stationarity
     condition times (1 - x^2); g(-1) = -2a <= 0 <= 2b = g(1). Newton from
     the warm start `x`, kept inside the sign bracket by bisection, stops
-    once a step is at most `xatol` times the distance to the nearer end of
+    once a step is at most `_XATOL` times the distance to the nearer end of
     the interval: a root near +-1 can sit close to a second root of g at
     the end, where Newton converges only slowly. With a zero weight the
     minimizer sits on the interval's end while lam <= (other weight)/4.
@@ -299,7 +306,7 @@ def _axis_root(a: float, b: float, lam: float, x: float,
             hi = x
         slope = n + 2.0 * lam * (1.0 - 3.0 * x * x)
         nxt = x - g / slope if slope > 0.0 else math.nan
-        if abs(nxt - x) <= xatol * u:
+        if abs(nxt - x) <= _XATOL * u:
             return nxt
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
@@ -309,7 +316,7 @@ def _axis_root(a: float, b: float, lam: float, x: float,
     return x
 
 
-def mle_reconstruct(records, config: MleConfig = MleConfig()) -> TomographyResult:
+def mle_reconstruct(records) -> TomographyResult:
     """Maximum-likelihood density matrix for one complete record set.
 
     With a_i, b_i the outcome weights of the basis measuring Bloch
@@ -319,15 +326,15 @@ def mle_reconstruct(records, config: MleConfig = MleConfig()) -> TomographyResul
     on the sphere at x_i(lambda), the minimizer of the i-th term plus
     lambda x_i^2, where sum x_i(lambda)^2 = 1; that sum decreases in
     lambda > 0, so one scalar root-find (Newton on lambda with a bisection
-    safeguard) fixes the multiplier. `iterations` counts its steps and
-    `converged` reports whether it met `config.fatol` within
-    `config.max_iterations`.
+    safeguard) fixes the multiplier. The converged iterate, pulled into
+    the ball, is the answer. `iterations` counts the root-find's steps.
 
     Raises:
         ValueError: a basis has both outcome weights zero, which leaves its
             Bloch component unidentified.
         MleDivergenceError: the root-find hit the step cap; the exception's
-            `result` field holds the best feasible iterate (converged=False).
+            `result` field holds the last iterate, pulled into the ball
+            (converged=False).
     """
     pairs = _bloch_weights(_records_by_basis(records))
     for basis, (a, b) in zip(BLOCH_AXES, pairs):
@@ -342,26 +349,14 @@ def mle_reconstruct(records, config: MleConfig = MleConfig()) -> TomographyResul
         # outcome whose frequency is below rounding
         ll = sum(w * math.log(w / (a + b)) for a, b in pairs for w in (a, b)
                  if w > 0.0)
-        return _mle_result(x, ll, 0, True, (-ll,))
+        return _mle_result(x, ll, 0, True)
 
     # phi(lam) = sum x_i(lam)^2 - 1 is bracketed by [lo, hi]: phi(0) > 0,
     # and |x_i(lam)| < (a_i + b_i)/(2 lam) makes phi(hi) < 0
     lam, lo, hi = 0.0, 0.0, 0.5 * math.hypot(*(a + b for a, b in pairs))
-    best_nll, best_x = math.inf, x
     last = math.inf  # |phi| before the latest step
-    nll_trace = []
     steps = 0
-    while True:
-        # every iterate, pulled into the ball, is a feasible candidate
-        scale = 1.0 if r2 <= 1.0 else 1.0 / math.sqrt(r2)
-        feasible = [v * scale for v in x]
-        nll = -_log_likelihood(pairs, feasible)
-        if nll <= best_nll:
-            best_nll, best_x = nll, feasible
-        nll_trace.append(best_nll)
-        converged = abs(r2 - 1.0) <= config.fatol
-        if converged or steps >= config.max_iterations:
-            break
+    while abs(r2 - 1.0) > _FATOL and steps < _MAX_STEPS:
         steps += 1
         if r2 > 1.0:
             lo = lam
@@ -381,34 +376,32 @@ def mle_reconstruct(records, config: MleConfig = MleConfig()) -> TomographyResul
             nxt = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else hi / 1024.0
         last = abs(r2 - 1.0)
         lam = nxt
-        x = [_axis_root(a, b, lam, v, config.xatol)
-             for (a, b), v in zip(pairs, x)]
+        x = [_axis_root(a, b, lam, v) for (a, b), v in zip(pairs, x)]
         r2 = sum(v * v for v in x)
 
-    result = _mle_result(best_x, -best_nll, steps, converged,
-                         tuple(nll_trace))
+    converged = abs(r2 - 1.0) <= _FATOL
+    if r2 > 1.0:
+        x = [v / math.sqrt(r2) for v in x]
+    result = _mle_result(x, _log_likelihood(pairs, x), steps, converged)
     if not converged:
         raise MleDivergenceError(
-            f"MLE did not converge within {config.max_iterations} "
-            f"multiplier steps", result)
+            f"MLE did not converge within {_MAX_STEPS} multiplier steps",
+            result)
     return result
 
 
-def _mle_result(x, log_likelihood, iterations, converged,
-                nll_trace) -> TomographyResult:
+def _mle_result(x, log_likelihood, iterations, converged) -> TomographyResult:
     rho = stokes_to_density(StokesVector(1.0, *x))
     return TomographyResult(rho=rho, stokes=density_to_stokes(rho),
                             log_likelihood=log_likelihood,
-                            iterations=iterations, converged=converged,
-                            nll_trace=nll_trace)
+                            iterations=iterations, converged=converged)
 
 
 def run_tomography_experiment(true_state: DensityMatrix, device: RpdcDevice,
-                              noise: NoiseConfig = None,
-                              config: MleConfig = MleConfig()) -> tuple:
+                              noise: NoiseConfig = None) -> tuple:
     """Measure, reconstruct by MLE, and score against the true state."""
     records = measure_records(true_state, device, noise)
-    result = mle_reconstruct(records, config)
+    result = mle_reconstruct(records)
     return fidelity(result.rho, true_state), result
 
 

@@ -2,14 +2,17 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rpdcsim.cli import main
+import rpdcsim
+from rpdcsim.cli import _expand_range, main
 from rpdcsim.device import extinction_ratios, load_device, make_pdc_device
 from rpdcsim.tomography import (
     cardinal_density,
@@ -25,6 +28,14 @@ IDEAL_45_DEVICE = str(DATA / "device_45deg_ideal.json")
 CALIBRATION = str(DATA / "axis_calibration_synthetic.csv")
 
 META_RE = re.compile(r"^# config_sha256=[0-9a-f]{64} seed=(-?\d+)$")
+SRC = str(Path(rpdcsim.__file__).resolve().parent.parent)
+
+
+def run_python(args, cwd, timeout=60):
+    """A fresh interpreter that imports rpdcsim from this checkout."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, timeout=timeout,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
 
 
 def read_rows(path: Path):
@@ -227,6 +238,68 @@ class TestTomography:
         assert fa != (c / "fidelities.csv").read_bytes()
 
 
+class TestRanges:
+    # non-finite, vanishing or overflowing ranges: each must exit 2 at once
+    BAD_SPECS = ("0:10:nan", "0:inf:1", "nan:1:0.1", "0:1:1e-12",
+                 "0:1e308:1e-300")
+
+    @pytest.mark.parametrize("spec", BAD_SPECS)
+    def test_bad_range_exits_2(self, tmp_path, spec):
+        start, stop, step = (float(v) for v in spec.split(":"))
+        rng = {"start": start, "stop": stop, "step": step}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thetas_deg": rng, "lengths_mm": rng}))
+        calls = (["axis-cal", "--calibration", CALIBRATION, "--thetas", spec],
+                 ["coupler-sweep", "--device", SHIPPED_DEVICE,
+                  "--lengths", spec],
+                 ["axis-cal", "--calibration", CALIBRATION,
+                  "--config", str(cfg)],
+                 ["coupler-sweep", "--device", SHIPPED_DEVICE,
+                  "--config", str(cfg)])
+        for argv in calls:
+            proc = run_python(["-m", "rpdcsim", *argv, "--out",
+                               str(tmp_path)], tmp_path, timeout=20)
+            assert proc.returncode == 2, (argv, proc.stderr)
+            assert "error:" in proc.stderr
+
+    def test_values_match_stepping_loop(self):
+        def stepped(start, stop, step):
+            out = []
+            while start + len(out) * step <= stop + 1e-12:
+                out.append(start + len(out) * step)
+            return tuple(out)
+
+        rng = np.random.default_rng(71)
+        specs = [(0.0, 28.5, 0.25), (2.5, 172.5, 2.5), (0.0, 1.0, 0.1),
+                 (0.0, 0.3, 0.1), (20.0, 26.0, 0.1), (5.0, 5.0, 1.0),
+                 (0.0, 0.1, 1e-6)]
+        for _ in range(300):
+            start = float(rng.uniform(-50, 50))
+            step = float(10 ** rng.uniform(-3, 1))
+            # stops on, near and between grid points
+            k = int(rng.integers(0, 500))
+            stop = start + k * step + float(rng.choice([0.0, 1e-13, -1e-13,
+                                                        0.5 * step]))
+            specs.append((start, max(stop, start), step))
+        for spec in specs:
+            got = _expand_range(dict(zip(("start", "stop", "step"), spec)),
+                                "x")
+            assert got == stepped(*spec), spec
+
+    def test_point_cap(self):
+        assert len(_expand_range({"start": 0, "stop": 999999, "step": 1},
+                                 "x")) == 10 ** 6
+        with pytest.raises(ValueError, match="more than"):
+            _expand_range({"start": 0, "stop": 1000000, "step": 1}, "x")
+
+    def test_non_numeric_range_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thetas_deg": {"start": [0], "stop": 1,
+                                                  "step": 0.5}}))
+        assert main(["axis-cal", "--calibration", CALIBRATION,
+                     "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
 class TestFindAxis:
     def test_recovery(self, tmp_path):
         assert main(["find-axis", "--alpha", "118", "--retardance", "1.9",
@@ -303,6 +376,49 @@ class TestHarnessContracts:
         assert proc.returncode == 0
         assert (tmp_path / "extinction.json").exists()
         assert "wrote" in proc.stdout
+
+    def test_hash_covers_records_file(self, tmp_path):
+        hashes = []
+        for name, da in (("a", (90, 10)), ("b", (50, 50))):
+            rec_csv = tmp_path / f"{name}.csv"
+            rec_csv.write_text("basis,p0,p1,n0,n1\n" + "".join(
+                f"{b},{n0 / (n0 + n1)!r},{n1 / (n0 + n1)!r},{n0},{n1}\n"
+                for b, (n0, n1) in (("HV", (60, 40)), ("DA", da),
+                                    ("RL", (70, 30)))))
+            for run in ("r1", "r2"):
+                assert main(["tomography", "--records", str(rec_csv),
+                             "--out", str(tmp_path / name / run)]) == 0
+            first, rerun = ((tmp_path / name / run / "tomography_records"
+                             ".json").read_bytes() for run in ("r1", "r2"))
+            assert first == rerun
+            hashes.append(json.loads(first)["meta"]["config_sha256"])
+        assert hashes[0] != hashes[1]
+
+    def test_hash_covers_device_bytes_and_find_axis_args(self, tmp_path):
+        dev_json = tmp_path / "dev.json"
+
+        def digest(argv, name):
+            out = tmp_path / str(len(list(tmp_path.iterdir())))
+            assert main(argv + ["--out", str(out)]) == 0
+            return json.loads((out / name).read_text())["meta"][
+                "config_sha256"]
+
+        hashes = []
+        for path in (SHIPPED_DEVICE, IDEAL_45_DEVICE):
+            dev_json.write_bytes(Path(path).read_bytes())
+            hashes.append(digest(["extinction", "--device", str(dev_json)],
+                                 "extinction.json"))
+        for t in ("1.0", "0.5"):
+            hashes.append(digest(["find-axis", "--alpha", "30",
+                                  "--retardance", "2", "--transmittance", t],
+                                 "find_axis.json"))
+        assert len(set(hashes)) == 4
+
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        proc = run_python(["-c", "import sys, rpdcsim; "
+                                 "print('scipy' in sys.modules)"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_no_subcommand_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "rpdcsim"],

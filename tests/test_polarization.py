@@ -16,6 +16,7 @@ from rpdcsim.polarization import (
     jones_to_density,
     linear_polarizer,
     purity,
+    rotated_diagonal,
     rotation_deg,
     stokes_to_density,
 )
@@ -98,6 +99,24 @@ class TestRotationAndPolarizer:
         # 30 degree offset between polarizer and input: cos^2(30) = 3/4
         out = linear_polarizer(30) @ np.array([1, 0], dtype=complex)
         assert np.vdot(out, out).real == pytest.approx(0.75, abs=1e-15)
+
+    def test_rotated_diagonal_is_explicit_product(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            a = rng.uniform(-360.0, 360.0)
+            d = rng.normal(size=2) + 1j * rng.normal(size=2)
+            want = rotation_deg(a) @ np.diag(d) @ rotation_deg(-a)
+            assert np.abs(rotated_diagonal(a, *d) - want).max() < 1e-15
+
+    def test_rotated_diagonal_stacks(self):
+        rng = np.random.default_rng(62)
+        d0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        d1 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        stack = rotated_diagonal(33.0, d0, d1)
+        assert stack.shape == (3, 2, 2)
+        for k in range(3):
+            assert np.array_equal(stack[k], rotated_diagonal(33.0, d0[k],
+                                                             d1[k]))
 
 
 class TestDensityMatrix:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rpdcsim import tomography
 from rpdcsim.device import load_device, make_pdc_device
 from rpdcsim.polarization import (
     DensityMatrix,
@@ -20,7 +21,6 @@ from rpdcsim.tomography import (
     BASES,
     BASIS_STATES,
     MeasurementRecord,
-    MleConfig,
     MleDivergenceError,
     NoiseConfig,
     cardinal_density,
@@ -28,6 +28,7 @@ from rpdcsim.tomography import (
     load_measurement_csv,
     measure_records,
     mle_reconstruct,
+    povm_effects,
     project_probabilities,
     result_to_dict,
     run_tomography_experiment,
@@ -67,6 +68,36 @@ def born_records(rho: DensityMatrix):
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
+
+
+def _bisect(f, lo, hi):
+    """Root of an increasing f on (lo, hi), narrowed to adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def bisection_mle(pairs):
+    """Boundary MLE of Bloch (s1, s2, s3) from (a_i, b_i), nested bisection.
+
+    Each axis solves -a/(1+x) + b/(1-x) + 2 lam x = 0, increasing in x;
+    sum x_i(lam)^2 decreases in lam and crosses 1 below hypot(a_i + b_i)/2.
+    """
+    def axis(a, b, lam):
+        return _bisect(lambda x: b / (1 - x) - a / (1 + x) + 2 * lam * x,
+                       -1.0, 1.0)
+
+    def shortfall(lam):
+        return 1.0 - sum(axis(a, b, lam) ** 2 for a, b in pairs)
+
+    lam = _bisect(shortfall, 0.0,
+                  0.5 * math.hypot(*(a + b for a, b in pairs)))
+    return np.array([axis(a, b, lam) for a, b in pairs])
 
 
 def reference_nll(records, s1, s2, s3):
@@ -149,6 +180,50 @@ class TestProjection:
         p0, p1 = project_probabilities(cardinal_density("D"), dev,
                                        waveplate_settings("HV", 45.0))
         assert p0 + p1 == pytest.approx(0.64, abs=1e-12)
+
+
+class TestEffects:
+    DEVICES = ("data/device_0deg.json", "data/device_45deg.json",
+               "data/device_45deg_ideal.json")
+
+    def test_hermitian_psd_and_complete(self):
+        for path in self.DEVICES:
+            dev = load_device(path)
+            t2 = dev.amplitude_transmittance ** 2
+            effects = povm_effects(dev)
+            assert effects.shape == (3, 2, 2, 2)
+            for e0, e1 in effects:
+                for e in (e0, e1):
+                    assert np.abs(e - e.conj().T).max() < 1e-15
+                    assert np.linalg.eigvalsh(e).min() >= -1e-15
+                assert np.abs(e0 + e1 - t2 * np.eye(2)).max() < 1e-14
+
+    def test_projection_is_trace_with_effect(self):
+        rng = np.random.default_rng(56)
+        dev = shipped_device()
+        effects = povm_effects(dev)
+        for _ in range(50):
+            rho = random_density(rng)
+            for basis, (e0, e1) in zip(BASES, effects):
+                p = project_probabilities(
+                    rho, dev, waveplate_settings(basis, dev.alpha_deg))
+                want = [np.trace(e @ rho.matrix).real for e in (e0, e1)]
+                assert p == pytest.approx(want, abs=1e-15)
+
+    def test_memoized_per_device(self):
+        dev = shipped_device()
+        effects = povm_effects(dev)
+        assert povm_effects(dev) is effects
+        assert not effects.flags.writeable
+        longer = dev.with_length(dev.length_mm + 1.0)
+        assert povm_effects(longer) is not effects
+        assert povm_effects(dev) is effects
+        assert np.abs(povm_effects(longer) - effects).max() > 1e-3
+        # the longer device's records follow its own effects
+        rec = measure_records(cardinal_density("H"), longer)[0]
+        want = [np.trace(e @ cardinal_density("H").matrix).real
+                for e in povm_effects(longer)[0]]
+        assert (rec.p0, rec.p1) == pytest.approx(want, abs=1e-15)
 
 
 class TestMeasureRecords:
@@ -301,16 +376,6 @@ class TestMleReconstruct:
         assert mle_nll == pytest.approx(-res.log_likelihood, abs=1e-9)
         assert mle_nll <= grid_best + 1e-5
 
-    def test_trace_monotone_on_noiseless_solve(self):
-        recs = measure_records(cardinal_density("R"), IDEAL_0)
-        res = mle_reconstruct(recs)
-        # the terminating pass appends the converged value once more
-        assert len(res.nll_trace) == res.iterations + 1
-        assert all(b <= a + 1e-12
-                   for a, b in zip(res.nll_trace, res.nll_trace[1:]))
-        assert res.nll_trace[-1] == pytest.approx(-res.log_likelihood,
-                                                  abs=1e-12)
-
     def test_noisy_fuzz_physicality(self):
         rng = np.random.default_rng(54)
         dev = shipped_device()
@@ -325,17 +390,16 @@ class TestMleReconstruct:
             assert np.abs(m - m.conj().T).max() < 1e-12
             assert abs(np.trace(m).real - 1.0) < 1e-12
             assert res.rho.min_eigenvalue() >= -1e-10
-            assert all(b <= a + 1e-12
-                       for a, b in zip(res.nll_trace, res.nll_trace[1:]))
 
-    def test_divergence_carries_best_iterate(self):
+    def test_divergence_carries_best_iterate(self, monkeypatch):
         # the linear estimate lies outside the ball, so the multiplier
         # root-find has to take at least one step
+        monkeypatch.setattr(tomography, "_MAX_STEPS", 0)
         recs = (MeasurementRecord("HV", 0.95, 0.05),
                 MeasurementRecord("DA", 0.9, 0.1),
                 MeasurementRecord("RL", 0.8, 0.2))
         with pytest.raises(MleDivergenceError, match="converge") as exc:
-            mle_reconstruct(recs, MleConfig(max_iterations=0))
+            mle_reconstruct(recs)
         res = exc.value.result
         assert not res.converged
         assert res.physical
@@ -364,10 +428,6 @@ class TestMleReconstruct:
             two_lam = -(grad @ x)
             assert two_lam > 0.0
             assert np.abs(grad + two_lam * x).max() < 1e-6 * np.abs(grad).max()
-            assert len(res.nll_trace) == res.iterations + 1
-            assert all(b <= a for a, b in zip(res.nll_trace,
-                                              res.nll_trace[1:]))
-            assert res.nll_trace[-1] == -res.log_likelihood
             solved += 1
 
     def test_boundary_extreme_weights_converge(self):
@@ -397,17 +457,31 @@ class TestMleReconstruct:
             x /= np.linalg.norm(x)
             assert -res.log_likelihood <= reference_nll(recs, *x) + 1e-9
 
+    def test_boundary_matches_nested_bisection(self):
+        # the converged iterate is the exact MLE, not a lowest-NLL pick
+        # among iterates that rounding can move by about 1e-7
+        rng = np.random.default_rng(57)
+        cases = [((54, 329), (298, 30), (284, 173))]  # HV, DA, RL
+        while len(cases) < 300:
+            counts = [tuple(int(n) for n in c)
+                      for c in rng.integers(1, 400, size=(3, 2))]
+            if sum(((a - b) / (a + b)) ** 2 for a, b in counts) > 1.0:
+                cases.append(tuple(counts))
+        for counts in cases:
+            recs = tuple(MeasurementRecord(b, n0 / (n0 + n1), n1 / (n0 + n1),
+                                           counts=(n0, n1))
+                         for b, (n0, n1) in zip(BASES, counts))
+            hv, da, rl = (tuple(map(float, c)) for c in counts)
+            res = mle_reconstruct(recs)
+            got = np.array(res.stokes.as_tuple()[1:])
+            assert np.abs(got - bisection_mle((da, rl, hv))).max() < 1e-11
+
     def test_zero_weight_basis_rejected(self):
         recs = (MeasurementRecord("HV", 0.6, 0.4, counts=(60, 40)),
                 MeasurementRecord("DA", 0.5, 0.5, counts=(0, 0)),
                 MeasurementRecord("RL", 0.7, 0.3, counts=(70, 30)))
         with pytest.raises(ValueError, match="basis DA"):
             mle_reconstruct(recs)
-
-    def test_restarts_clamped(self):
-        recs = measure_records(cardinal_density("H"), IDEAL_0)
-        res = mle_reconstruct(recs, MleConfig(restarts=10))
-        assert res.converged
 
 
 class TestExperiment:
