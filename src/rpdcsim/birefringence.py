@@ -11,6 +11,9 @@ from .polarization import linear_polarizer, rotated_diagonal
 
 NM_PER_MM = 1e6
 
+# polarizer angles find_axis samples: k * 11.25 degrees, k = 0..7
+_AXIS_ANGLES = tuple(11.25 * k for k in range(8))
+
 
 class AxisUnobservableError(ValueError):
     """Retardance is a whole number of waves; crossed polarizers see nothing."""
@@ -161,12 +164,63 @@ def crossed_polarizer_transmission(r: RotatedRetarder,
     return float(np.vdot(out, out).real)
 
 
-def find_axis(r: RotatedRetarder) -> float:
-    """Locate the crossed-polarizer transmission minimum, in [0, 90).
+def fit_axis(angles_deg, powers) -> tuple:
+    """Axis (mod 90, in [0, 90)) and contrast C of a crossed-polarizer trace.
 
-    The minimum sits on the optical axis mod 90; fast and slow are not
-    distinguishable this way. Coarse 0.5 degree scan, then golden-section
-    down to a 1e-4 degree bracket.
+    Crossed-polarizer transmission is T(p) = C/2 - (C/2) cos 4(alpha - p),
+    with C = t^2 sin^2(delta/2): a constant plus the fourth harmonic of the
+    polarizer angle. A linear least-squares fit of the powers on
+    (1, cos 4p, sin 4p) gives coefficients (c0, c1, c2), and
+    alpha = atan2(-c2, -c1)/4 mod 90, C = 2 hypot(c1, c2): the
+    rotating-analyzer Fourier analysis of ellipsometry. Any grid of three
+    or more angles that are distinct mod 90 determines the fit, and noisy
+    powers are allowed: with N angles spread evenly over 90 degrees and
+    Gaussian power noise sigma, the axis has a standard error of
+    sigma/(C sqrt(2N)) rad.
+
+    Raises:
+        ValueError: the arrays are not 1-D of one length >= 3, hold a
+            non-finite value, or their angles do not determine the fit.
+        AxisUnobservableError: the fitted C is zero within rounding, so the
+            trace carries no axis signal.
+    """
+    p = np.asarray(angles_deg, dtype=float)
+    y = np.asarray(powers, dtype=float)
+    if p.ndim != 1 or p.shape != y.shape or len(p) < 3:
+        raise ValueError("angles and powers must be 1-D arrays of one length "
+                         f">= 3, got shapes {p.shape} and {y.shape}")
+    if not (np.isfinite(p).all() and np.isfinite(y).all()):
+        raise ValueError("angles and powers must be finite")
+    # the normal equations with c0 eliminated by centering every column;
+    # explicit sums keep BLAS and LAPACK, and their buffers, out of the fit
+    four_p = np.radians(4.0 * p)
+    c, s, dy = (v - v.mean() for v in (np.cos(four_p), np.sin(four_p), y))
+    scc, sss, scs = (c * c).sum(), (s * s).sum(), (c * s).sum()
+    det = scc * sss - scs * scs
+    # det/N^2 lies in [0, 1/4]; 1/4 for angles spread evenly mod 90
+    if not det > 1e-9 * len(p) ** 2:
+        raise ValueError("the angles do not determine the fit: need at "
+                         "least three angles distinct mod 90 degrees")
+    scy, ssy = (c * dy).sum(), (s * dy).sum()
+    c1 = float(sss * scy - scs * ssy) / det
+    c2 = float(scc * ssy - scs * scy) / det
+    contrast = 2.0 * math.hypot(c1, c2)
+    if contrast <= 1e-12 * float(np.abs(y).max()):
+        raise AxisUnobservableError(
+            "fitted crossed-polarizer contrast is zero within rounding; "
+            "the trace carries no axis signal")
+    alpha = math.degrees(math.atan2(-c2, -c1)) / 4.0 % 90.0
+    return (0.0 if alpha == 90.0 else alpha), contrast
+
+
+def find_axis(r: RotatedRetarder) -> float:
+    """Axis of `r` mod 90, in [0, 90), from its crossed-polarizer trace.
+
+    The transmission minimum sits on the optical axis mod 90; fast and slow
+    are not distinguishable this way. The trace is sampled at the eight
+    angles k * 11.25 degrees, an orthogonal design for the harmonic fit of
+    `fit_axis`, which gives the axis in closed form to rounding (about
+    1e-13 degrees).
 
     Raises:
         AxisUnobservableError: retardance is a multiple of 2 pi, so the
@@ -176,25 +230,5 @@ def find_axis(r: RotatedRetarder) -> float:
         raise AxisUnobservableError(
             f"retardance {r.retardance_rad} rad is a whole number of waves; "
             "crossed-polarizer transmission is identically zero")
-
-    def f(p):
-        return crossed_polarizer_transmission(r, p)
-
-    grid = np.arange(0.0, 90.0, 0.5)
-    best = float(min(grid, key=f))
-
-    invphi = (math.sqrt(5) - 1) / 2
-    lo, hi = best - 0.5, best + 0.5
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-4:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    return ((lo + hi) / 2) % 90.0
+    return fit_axis(_AXIS_ANGLES, [crossed_polarizer_transmission(r, p)
+                                   for p in _AXIS_ANGLES])[0]

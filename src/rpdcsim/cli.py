@@ -147,6 +147,23 @@ def _load_config_file(path):
     return raw
 
 
+def _read_seed(value) -> int:
+    """An integer >= 0 (numpy's seeder takes no other); 5.0 but not "5"."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _read_counts(value) -> float:
+    """A finite number > 0; a string such as "5" is not a number."""
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        raise ValueError("noise counts_per_basis must be a finite number "
+                         f"> 0, got {value!r}")
+    return float(value)
+
+
 def _resolve_config(raw: dict, args) -> ExperimentConfig:
     noise = raw.get("noise", {})
     if noise is None:
@@ -160,12 +177,11 @@ def _resolve_config(raw: dict, args) -> ExperimentConfig:
     seed = raw.get("seed", 0)
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    if isinstance(seed, bool) or seed != int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = _read_seed(seed)
 
     counts = noise.get("counts_per_basis")
     if counts is not None:
-        counts = float(counts)
+        counts = _read_counts(counts)
 
     lengths = raw.get("lengths_mm")
     if lengths is not None:
@@ -190,16 +206,17 @@ def _resolve_config(raw: dict, args) -> ExperimentConfig:
     if getattr(args, "out", None) is not None:
         out_dir = args.out
 
+    # out_dir has a default, so an explicit null is as bad as a number
     for name, val in (("device", device), ("calibration", calibration),
                       ("out_dir", out_dir)):
-        if val is not None and not isinstance(val, str):
+        if not (isinstance(val, str) or val is None and name != "out_dir"):
             raise ValueError(f"config {name} must be a path string, "
                              f"got {val!r}")
 
     return ExperimentConfig(device=device, calibration=calibration,
                             lengths_mm=lengths, thetas_deg=thetas,
                             counts_per_basis=counts, out_dir=out_dir,
-                            seed=int(seed))
+                            seed=seed)
 
 
 def _config_digest(cfg: ExperimentConfig, args) -> str:

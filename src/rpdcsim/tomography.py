@@ -30,6 +30,7 @@ point on the sphere fixed by one scalar Lagrange multiplier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +116,10 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.counts_per_basis is not None and self.counts_per_basis <= 0:
-            raise ValueError("counts_per_basis must be > 0 or None")
+        if self.counts_per_basis is not None and not (
+                0 < self.counts_per_basis <= sys.float_info.max):
+            raise ValueError("counts_per_basis must be a finite number > 0 "
+                             "or None")
 
 
 @dataclass(frozen=True)
@@ -232,6 +235,15 @@ def _bloch_weights(by_basis: dict) -> tuple:
     return tuple(by_basis[basis].weights for basis in BLOCH_AXES)
 
 
+def _frequency_log_likelihood(pairs) -> float:
+    """Log-likelihood at the per-basis frequencies a/(a+b), b/(a+b).
+
+    Unlike 1 -+ x_i, these keep an outcome whose frequency is below rounding.
+    """
+    return sum(w * math.log(w / (a + b)) for a, b in pairs for w in (a, b)
+               if w > 0.0)
+
+
 def _log_likelihood(pairs, x) -> float:
     """sum a log q+ + b log q- over axes, q+- = (1 +- x_i)/2.
 
@@ -254,7 +266,9 @@ def linear_reconstruct(records) -> TomographyResult:
     s0 is the summed H/V power and s1, s2, s3 the raw paired differences;
     rho follows by the Pauli expansion. Noisy data can land outside the
     Bloch ball; the result is returned as-is (check `.physical`) and the
-    reported Stokes vector keeps the raw measured powers.
+    reported Stokes vector keeps the raw measured powers. The
+    log-likelihood is that of each basis's own frequencies, the linear
+    estimate whenever every basis carries the same total power.
     """
     by_basis = _records_by_basis(records)
     hv, da, rl = by_basis["HV"], by_basis["DA"], by_basis["RL"]
@@ -263,8 +277,7 @@ def linear_reconstruct(records) -> TomographyResult:
                           s2=rl.p0 - rl.p1,
                           s3=hv.p0 - hv.p1)
     rho = stokes_to_density(stokes)
-    ll = _log_likelihood(_bloch_weights(by_basis),
-                         stokes.normalized().as_tuple()[1:])
+    ll = _frequency_log_likelihood(_bloch_weights(by_basis))
     return TomographyResult(rho=rho, stokes=stokes, log_likelihood=ll,
                             iterations=0, converged=True)
 
@@ -344,12 +357,8 @@ def mle_reconstruct(records) -> TomographyResult:
     x = [(a - b) / (a + b) for a, b in pairs]
     r2 = sum(v * v for v in x)
     if r2 <= 1.0:
-        # interior: the per-basis frequencies are the MLE. The likelihood
-        # comes from them rather than from x, since 1 -+ x_i loses an
-        # outcome whose frequency is below rounding
-        ll = sum(w * math.log(w / (a + b)) for a, b in pairs for w in (a, b)
-                 if w > 0.0)
-        return _mle_result(x, ll, 0, True)
+        # interior: the per-basis frequencies are the MLE
+        return _mle_result(x, _frequency_log_likelihood(pairs), 0, True)
 
     # phi(lam) = sum x_i(lam)^2 - 1 is bracketed by [lo, hi]: phi(0) > 0,
     # and |x_i(lam)| < (a_i + b_i)/(2 lam) makes phi(hi) < 0

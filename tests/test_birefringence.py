@@ -12,6 +12,7 @@ from rpdcsim.birefringence import (
     axis_from_offset,
     crossed_polarizer_transmission,
     find_axis,
+    fit_axis,
     load_axis_calibration,
     retardance_from_physics,
     retarder_jones,
@@ -263,3 +264,78 @@ class TestFindAxis:
             find_axis(RotatedRetarder(10.0, 2 * math.pi))
         with pytest.raises(AxisUnobservableError):
             find_axis(RotatedRetarder(10.0, 0.0))
+
+
+def closed_form_trace(alpha, delta, t, angles):
+    """T(p) = t^2 sin^2(2(alpha - p)) sin^2(delta/2), computed directly."""
+    return [t ** 2 * math.sin(math.radians(2 * (alpha - p))) ** 2
+            * math.sin(delta / 2) ** 2 for p in angles]
+
+
+def axis_error(found, alpha):
+    d = abs(found - alpha) % 90.0
+    return min(d, 90.0 - d)
+
+
+class TestFitAxis:
+    ORTHOGONAL = [11.25 * k for k in range(8)]
+
+    @pytest.mark.parametrize("grid", ["orthogonal", "irregular"])
+    def test_clean_traces_match_closed_form(self, grid):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            alpha = rng.uniform(0, 180)
+            delta = rng.uniform(0.3, 2 * math.pi - 0.3)
+            t = rng.uniform(0.2, 1.0)
+            angles = (self.ORTHOGONAL if grid == "orthogonal"
+                      else rng.uniform(-90, 270, size=13))
+            found, contrast = fit_axis(
+                angles, closed_form_trace(alpha, delta, t, angles))
+            assert 0.0 <= found < 90.0
+            assert axis_error(found, alpha) < 1e-10
+            assert contrast == pytest.approx(
+                t ** 2 * math.sin(delta / 2) ** 2, abs=1e-13)
+
+    def test_find_axis_is_the_fit_of_its_samples(self):
+        r = RotatedRetarder(118.0, 1.9, 0.9)
+        trace = [crossed_polarizer_transmission(r, p) for p in self.ORTHOGONAL]
+        assert find_axis(r) == fit_axis(self.ORTHOGONAL, trace)[0]
+        assert axis_error(find_axis(r), 118.0) < 1e-12
+
+    def test_flat_trace_unobservable(self):
+        with pytest.raises(AxisUnobservableError):
+            fit_axis(self.ORTHOGONAL, [0.3] * 8)
+        with pytest.raises(AxisUnobservableError):
+            fit_axis(self.ORTHOGONAL, [0.0] * 8)
+
+    def test_noisy_trace_error_bound_shrinks_with_n(self):
+        # N angles spread evenly over 90 degrees with Gaussian power noise
+        # sigma: the fitted axis has standard error sigma/(C sqrt(2N)) rad
+        rng = np.random.default_rng(26)
+        sigma, alpha, delta, t, trials = 0.01, 33.0, 2.0, 0.9, 300
+        c = t ** 2 * math.sin(delta / 2) ** 2
+        rms = {}
+        for n in (16, 256):
+            angles = np.arange(n) * 90.0 / n
+            clean = np.array(closed_form_trace(alpha, delta, t, angles))
+            errs = np.radians([axis_error(fit_axis(
+                angles, clean + rng.normal(0.0, sigma, n))[0], alpha)
+                for _ in range(trials)])
+            bound = sigma / (c * math.sqrt(2 * n))
+            rms[n] = math.sqrt(np.mean(errs ** 2))
+            # the RMS of 300 draws has a relative spread of 1/sqrt(600),
+            # about 4 %, so 20 % is 5 spreads; a single draw 5 standard
+            # errors out has odds below 1e-6
+            assert 0.8 * bound < rms[n] < 1.2 * bound
+            assert errs.max() < 5 * bound
+        assert rms[256] < rms[16] / 2
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError, match="one length"):
+            fit_axis([0, 10, 20], [0.1, 0.2])
+        with pytest.raises(ValueError, match="finite"):
+            fit_axis([0, 10, 20], [0.1, math.nan, 0.2])
+        with pytest.raises(ValueError, match="one length"):
+            fit_axis([0, 10], [0.1, 0.2])
+        with pytest.raises(ValueError, match="distinct mod 90"):
+            fit_axis([5, 95, 185, 30], [0.1, 0.1, 0.1, 0.4])

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -424,3 +425,107 @@ class TestHarnessContracts:
         proc = subprocess.run([sys.executable, "-m", "rpdcsim"],
                               capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+class TestConfigFieldTypes:
+    """seed and noise.counts_per_basis are typed: a bad value exits 2."""
+
+    def run_config(self, tmp_path, capsys, text, command="tomography"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main([command, "--device", SHIPPED_DEVICE, "--config",
+                     str(cfg), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"seed": 1e400}', '{"seed": -1e400}', '{"seed": NaN}',
+        '{"seed": null}', '{"seed": "5"}', '{"seed": true}',
+        '{"seed": 2.5}', '{"seed": -1}', '{"seed": [5]}', '{"seed": {}}',
+        '{"noise": {"counts_per_basis": [5]}}',
+        '{"noise": {"counts_per_basis": {}}}',
+        '{"noise": {"counts_per_basis": "5"}}',
+        '{"noise": {"counts_per_basis": true}}',
+        '{"noise": {"counts_per_basis": 0}}',
+        '{"noise": {"counts_per_basis": -3}}',
+        '{"noise": {"counts_per_basis": NaN}}',
+        '{"noise": {"counts_per_basis": Infinity}}',
+        '{"noise": {"counts_per_basis": 1e400}}',
+        '{"noise": {"counts_per_basis": ' + "9" * 400 + '}}',
+    ])
+    def test_bad_value_exits_2(self, tmp_path, capsys, text):
+        code, err = self.run_config(tmp_path, capsys, text)
+        assert code == 2
+        assert err.startswith("error:") and "internal" not in err
+        assert ("seed" in err) != ("counts_per_basis" in err)
+
+    @pytest.mark.parametrize("text", [
+        '{"seed": 5}', '{"seed": 5.0}', '{"seed": 0}',
+        '{"seed": ' + str(2 ** 70) + '}',
+        '{"noise": {"counts_per_basis": 500}}',
+        '{"noise": {"counts_per_basis": 2.5e3}}',
+        '{"noise": {"counts_per_basis": null}}',
+    ])
+    def test_good_value_exits_0(self, tmp_path, capsys, text):
+        assert self.run_config(tmp_path, capsys, text)[0] == 0
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert main(["extinction", "--device", SHIPPED_DEVICE, "--seed",
+                     "-1", "--out", str(tmp_path)]) == 2
+        assert "seed" in capsys.readouterr().err
+
+
+class TestConfigFuzz:
+    """Single-field changes to a valid config exit 0 or 2, never 1."""
+
+    COMMANDS = (["axis-cal"], ["coupler-sweep"], ["extinction"],
+                ["tomography"],
+                ["find-axis", "--alpha", "30", "--retardance", "2"])
+    BASE = {"device": SHIPPED_DEVICE, "calibration": CALIBRATION,
+            "lengths_mm": {"start": 0, "stop": 5, "step": 0.5},
+            "thetas_deg": [0, 30, 60], "noise": {"counts_per_basis": 500},
+            "out_dir": "out", "seed": 3}
+    FIELDS = tuple(BASE) + ("noise.counts_per_basis",)
+    POOL = (None, True, False, 0, 1, -1, 7, 2.5, -2.5, 1e-300, 1e300,
+            math.inf, -math.inf, math.nan, 2 ** 70, -(2 ** 70), 10 ** 400,
+            "", "5", "abc", "nope.json", SHIPPED_DEVICE, IDEAL_0_DEVICE,
+            CALIBRATION, [], [5], [1, 2, 3], [3, 2], ["a"], [None], [[1]],
+            {}, {"start": 0, "stop": 2, "step": 0.5}, {"start": 0, "stop": 2},
+            {"start": "a", "stop": 2, "step": 1},
+            {"start": 0, "stop": 2, "step": 0}, {"counts_per_basis": 5},
+            {"counts_per_basis": [5]}, {"x": 1})
+    DELETE = object()
+
+    def mutations(self, rng):
+        """Every command x field x pool value, plus seeded random numbers."""
+        randoms = [float(v) for v in rng.normal(size=8) * 10.0 ** rng.integers(
+            -3, 6, size=8)] + [int(v) for v in rng.integers(-50, 10 ** 6, 4)]
+        for command in self.COMMANDS:
+            for field in self.FIELDS:
+                for value in self.POOL + tuple(randoms) + (self.DELETE,):
+                    yield command, field, value
+
+    def test_single_field_mutations(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cases = list(self.mutations(np.random.default_rng(72)))
+        assert len(cases) >= 1000
+        cfg = tmp_path / "cfg.json"
+        codes = {0: 0, 2: 0}
+        start = time.perf_counter()
+        for command, field, value in cases:
+            raw = json.loads(json.dumps(self.BASE))
+            holder, key = ((raw["noise"], "counts_per_basis")
+                           if field == "noise.counts_per_basis"
+                           else (raw, field))
+            if value is self.DELETE:
+                del holder[key]
+            else:
+                holder[key] = value
+            cfg.write_text(json.dumps(raw))
+            code = main(command + ["--config", str(cfg)])
+            err = capsys.readouterr().err
+            assert code in codes and "internal error" not in err, (
+                command[0], field, value, err)
+            codes[code] += 1
+        elapsed = time.perf_counter() - start
+        assert elapsed < 60.0
+        assert codes[0] > 100 and codes[2] > 100

@@ -1,6 +1,7 @@
 """State reconstruction: projection model, linear inversion, MLE, file I/O."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from rpdcsim.tomography import (
     waveplate_settings,
     _waveplate_operator,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 IDEAL_0 = make_pdc_device(0.0, math.pi / 19, 2 * math.pi / 57, 23.0, 5.5,
                           1.0, math.pi)
@@ -317,6 +320,25 @@ class TestLinearReconstruct:
                                                       abs=1e-15)
         assert res.rho.min_eigenvalue() < -1e-3
 
+    def test_log_likelihood_worked_example(self):
+        recs = (MeasurementRecord("HV", 0.6, 0.4),
+                MeasurementRecord("DA", 0.9, 0.1),
+                MeasurementRecord("RL", 0.5, 0.5))
+        want = sum(p * math.log(p) for p in (0.6, 0.4, 0.9, 0.1, 0.5, 0.5))
+        assert linear_reconstruct(recs).log_likelihood == pytest.approx(
+            want, abs=1e-15)
+
+    @pytest.mark.parametrize("label", ["D", "H", "R"])
+    def test_noiseless_pure_log_likelihood_finite(self, label):
+        # one outcome weight of each pure record is below rounding (DA is
+        # (1.0, 2.8e-17) for D); the two unbiased bases give -2 log 2
+        dev = load_device(DATA / "device_45deg_ideal.json")
+        recs = measure_records(cardinal_density(label), dev)
+        ll = linear_reconstruct(recs).log_likelihood
+        assert ll == pytest.approx(-2 * math.log(2), abs=1e-12)
+        assert ll == pytest.approx(mle_reconstruct(recs).log_likelihood,
+                                   abs=1e-12)
+
     def test_missing_basis(self):
         with pytest.raises(ValueError, match="missing record.*RL"):
             linear_reconstruct((MeasurementRecord("HV", 1.0, 0.0),
@@ -549,6 +571,11 @@ class TestRecordValidation:
     def test_noise_config_rate(self):
         with pytest.raises(ValueError):
             NoiseConfig(counts_per_basis=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_noise_config_rate_finite(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseConfig(counts_per_basis=rate)
 
 
 class TestMeasurementCsv:
