@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import linear_polarizer, rotated_diagonal
+from .polarization import rotated_diagonal
 
 NM_PER_MM = 1e6
 
@@ -85,15 +86,78 @@ class AxisCalibration:
         return np.array([a for _, a in self.samples])
 
     def _interpolator(self):
-        # memoized: construction is O(n), evaluation is cheap. scipy is
-        # imported here, so only calibration lookups pay for loading it
+        """The Fritsch-Carlson monotone cubic through the samples, memoized.
+
+        Node slopes (Fritsch-Butland inside, SciPy's shape-preserving
+        three-point formula at the ends) come from `_pchip_slopes`, once per
+        table; each call is a cubic Hermite evaluation on one interval.
+        """
         memo = getattr(self, "_interp_memo", None)
         if memo is None:
-            from scipy.interpolate import PchipInterpolator
-            memo = PchipInterpolator(self.thetas, self.alphas,
-                                     extrapolate=False)
+            x, y = self.thetas, self.alphas
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = _pchip_slopes(x, y)
+            if not np.isfinite(d).all():
+                raise ValueError("calibration slopes overflow: thetas are "
+                                 "too close together")
+            memo = functools.partial(_hermite, x, y, d)
             object.__setattr__(self, "_interp_memo", memo)
         return memo
+
+
+def _end_slope(h0, h1, m0, m1):
+    """Shape-preserving three-point end slope (Moler's `pchiptx`, as in SciPy).
+
+    h0, m0 are the width and secant of the end interval, h1, m1 those of
+    its neighbour. The slope is 0 if the three-point estimate disagrees in
+    sign with m0, and 3 m0 if the secants change sign and the estimate
+    exceeds that.
+    """
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
+
+
+def _pchip_slopes(x, y) -> np.ndarray:
+    """Node slopes of the Fritsch-Carlson monotone cubic through (x, y).
+
+    An interior slope is the weighted harmonic mean of the two secants,
+    1/d_k = (w1/m_{k-1} + w2/m_k)/(w1 + w2) with w1 = 2h_k + h_{k-1} and
+    w2 = h_k + 2h_{k-1} (Fritsch & Butland 1984), and 0 where the secants
+    change sign or one is zero, so monotone data give a monotone curve
+    (Fritsch & Carlson 1980). End slopes are `_end_slope`; a 2-node table
+    is the straight line. These are the slopes SciPy's PchipInterpolator
+    uses.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    d = np.zeros_like(y)
+    k = np.flatnonzero((np.sign(m[:-1]) == np.sign(m[1:])) & (m[1:] != 0))
+    w1, w2 = 2 * h[k + 1] + h[k], h[k + 1] + 2 * h[k]
+    d[k + 1] = 1.0 / ((w1 / m[k] + w2 / m[k + 1]) / (w1 + w2))
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _hermite(x, y, d, t) -> float:
+    """Cubic Hermite value at t from node values y and slopes d.
+
+    The interval is the one whose left node is the last node <= t; t on the
+    last node uses the last interval. The basis form returns y exactly at
+    both ends of an interval.
+    """
+    k = min(int(np.searchsorted(x, t, side="right")) - 1, len(x) - 2)
+    h = x[k + 1] - x[k]
+    s = (t - x[k]) / h
+    u = 1.0 - s
+    return float(y[k] * (1 + 2 * s) * u * u + y[k + 1] * s * s * (3 - 2 * s)
+                 + h * s * u * (d[k] * u - d[k + 1] * s))
 
 
 def load_axis_calibration(path) -> AxisCalibration:
@@ -134,14 +198,22 @@ def retardance_from_physics(delta_n: float, length_mm: float,
 
 
 def axis_from_offset(cal: AxisCalibration, theta_deg: float) -> float:
-    """Interpolate alpha at theta with a shape-preserving monotone cubic."""
+    """Interpolate alpha at theta with a shape-preserving monotone cubic.
+
+    The curve is the piecewise-cubic Hermite interpolant of Fritsch and
+    Carlson with Fritsch-Butland harmonic-mean slopes and SciPy's
+    shape-preserving end slopes (`_pchip_slopes`): it passes through every
+    sample, has a continuous first derivative, and is monotone wherever the
+    samples are. It agrees with SciPy's PchipInterpolator to rounding.
+    theta must lie in the calibrated range; nothing is extrapolated.
+    """
     if not 0 <= theta_deg <= 180:
         raise ValueError(f"theta_deg {theta_deg} outside [0, 180]")
     lo, hi = cal.samples[0][0], cal.samples[-1][0]
     if not lo <= theta_deg <= hi:
         raise ValueError(f"theta_deg {theta_deg} outside calibrated range "
                          f"[{lo}, {hi}]; no extrapolation")
-    return float(cal._interpolator()(theta_deg))
+    return cal._interpolator()(theta_deg)
 
 
 def retarder_jones(r: RotatedRetarder) -> np.ndarray:
@@ -151,6 +223,16 @@ def retarder_jones(r: RotatedRetarder) -> np.ndarray:
     return rotated_diagonal(r.alpha_deg, t * np.exp(-half), t * np.exp(half))
 
 
+def _crossed_power(jones: np.ndarray, pol_angle_deg: float) -> float:
+    """|e_{p+90}^T J e_p|^2: unit power aligned with polarizer p, through J,
+    then through the crossed polarizer p + 90."""
+    a = math.radians(pol_angle_deg)
+    c, s = math.cos(a), math.sin(a)
+    (j00, j01), (j10, j11) = jones.tolist()
+    amp = c * (j10 * c + j11 * s) - s * (j00 * c + j01 * s)
+    return amp.real * amp.real + amp.imag * amp.imag
+
+
 def crossed_polarizer_transmission(r: RotatedRetarder,
                                    pol_angle_deg: float) -> float:
     """Power through polarizer(p) -> retarder -> polarizer(p + 90).
@@ -158,10 +240,7 @@ def crossed_polarizer_transmission(r: RotatedRetarder,
     Unit power enters the first polarizer already aligned with it, so the
     result is t^2 sin^2(2(alpha - p)) sin^2(delta/2).
     """
-    a = math.radians(pol_angle_deg)
-    field = np.array([math.cos(a), math.sin(a)], dtype=complex)
-    out = linear_polarizer(pol_angle_deg + 90.0) @ retarder_jones(r) @ field
-    return float(np.vdot(out, out).real)
+    return _crossed_power(retarder_jones(r), pol_angle_deg)
 
 
 def fit_axis(angles_deg, powers) -> tuple:
@@ -230,5 +309,6 @@ def find_axis(r: RotatedRetarder) -> float:
         raise AxisUnobservableError(
             f"retardance {r.retardance_rad} rad is a whole number of waves; "
             "crossed-polarizer transmission is identically zero")
-    return fit_axis(_AXIS_ANGLES, [crossed_polarizer_transmission(r, p)
+    jones = retarder_jones(r)
+    return fit_axis(_AXIS_ANGLES, [_crossed_power(jones, p)
                                    for p in _AXIS_ANGLES])[0]

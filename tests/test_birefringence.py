@@ -1,6 +1,7 @@
 """Rotated retarders, axis calibration, crossed-polarizer axis finding."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rpdcsim.birefringence import (
     AxisCalibration,
     AxisUnobservableError,
     RotatedRetarder,
+    _pchip_slopes,
     axis_from_offset,
     crossed_polarizer_transmission,
     find_axis,
@@ -17,6 +19,9 @@ from rpdcsim.birefringence import (
     retardance_from_physics,
     retarder_jones,
 )
+
+SHIPPED_CALIBRATION = (Path(__file__).resolve().parent.parent / "data"
+                       / "axis_calibration_synthetic.csv")
 
 
 def synthetic_alpha(theta_deg):
@@ -93,6 +98,11 @@ class TestAxisCalibration:
     def test_two_point_linear(self):
         cal = AxisCalibration(((0.0, 0.0), (160.0, 160.0)))
         assert axis_from_offset(cal, 80.0) == pytest.approx(80.0, abs=1e-12)
+        cal = AxisCalibration(((20.0, 30.0), (120.0, 80.0)))
+        assert list(_pchip_slopes(cal.thetas, cal.alphas)) == [0.5, 0.5]
+        for t in np.linspace(20.0, 120.0, 41):
+            assert axis_from_offset(cal, t) == pytest.approx(
+                30.0 + 0.5 * (t - 20.0), abs=1e-12)
 
     def test_exact_at_samples(self):
         cal = synthetic_calibration()
@@ -127,6 +137,143 @@ class TestAxisCalibration:
         grid = np.linspace(0.0, 175.0, 2000)
         vals = [axis_from_offset(cal, t) for t in grid]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+
+
+def random_table(rng):
+    """2 to 29 nodes at irregular thetas; alphas rising, falling, stepped
+    (flat segments and sign changes) or random."""
+    n = int(rng.integers(2, 30))
+    x = np.sort(rng.choice(np.arange(0.0, 180.0, 0.25), n, replace=False))
+    x += rng.uniform(0.0, 0.2, n)
+    kind = rng.integers(4)
+    y = (rng.choice([10.0, 45.0, 90.0, 170.0], n) if kind == 0
+         else rng.uniform(0.0, 180.0, n))
+    if kind == 1:
+        y.sort()
+    elif kind == 2:
+        y[::-1].sort()
+    return AxisCalibration(tuple(zip(x, y)))
+
+
+def lookups(cal, thetas):
+    return np.array([axis_from_offset(cal, t) for t in thetas])
+
+
+class TestPchip:
+    """The Fritsch-Carlson monotone cubic behind axis_from_offset."""
+
+    def test_every_node_exact(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            cal = random_table(rng)
+            for t, a in cal.samples:
+                assert axis_from_offset(cal, t) == a
+
+    def test_last_node_returns_last_alpha(self):
+        cal = load_axis_calibration(SHIPPED_CALIBRATION)
+        theta, alpha = cal.samples[-1]
+        assert axis_from_offset(cal, theta) == alpha
+        rising = AxisCalibration(((0.0, 5.0), (30.0, 60.0), (90.0, 170.0)))
+        assert axis_from_offset(rising, 90.0) == 170.0
+
+    def test_monotone_table_gives_monotone_curve(self):
+        # shape preservation: on each interval the curve stays between its
+        # two nodes and moves one way, to rounding (values below 180 carry
+        # an ulp of 2.8e-14)
+        rng = np.random.default_rng(32)
+        for _ in range(60):
+            x = random_table(rng).thetas
+            # sorted draws with replacement: rising, with flat segments
+            y = np.sort(rng.choice(np.arange(0.0, 180.0, 7.5), len(x)))
+            for alphas in (y, y[::-1]):
+                cal = AxisCalibration(tuple(zip(x, alphas)))
+                grid = np.linspace(x[0], x[-1], 1001)
+                vals = lookups(cal, grid)
+                sign = 1.0 if alphas[-1] >= alphas[0] else -1.0
+                assert np.all(sign * np.diff(vals) >= -1e-12)
+                k = np.minimum(np.searchsorted(x, grid, side="right") - 1,
+                               len(x) - 2)
+                lo = np.minimum(alphas[k], alphas[k + 1])
+                hi = np.maximum(alphas[k], alphas[k + 1])
+                assert np.all((vals >= lo - 1e-12) & (vals <= hi + 1e-12))
+
+    def test_first_derivative_continuous_at_nodes(self):
+        # one-sided difference quotients with step e differ from the node
+        # slope by at most (e/2) max|f''|; a Hermite cubic whose end slopes
+        # are at most 3 times a neighbouring secant has
+        # |f''| <= 24 max|m| / min(h), and rounding adds about 1e-7 at e = 1e-6
+        rng = np.random.default_rng(33)
+        e = 1e-6
+        for _ in range(200):
+            cal = random_table(rng)
+            x, y = cal.thetas, cal.alphas
+            h = np.diff(x)
+            bound = e * 24 * np.max(np.abs(np.diff(y) / h)) / h.min() + 1e-7
+            slopes = _pchip_slopes(x, y)
+            for t, d in zip(x[1:-1], slopes[1:-1]):
+                f0 = axis_from_offset(cal, t)
+                right = (axis_from_offset(cal, t + e) - f0) / e
+                left = (f0 - axis_from_offset(cal, t - e)) / e
+                assert abs(right - left) <= bound
+                assert abs(right - d) <= bound and abs(left - d) <= bound
+
+    def test_three_nodes_by_hand(self):
+        # nodes (0, 0), (10, 20), (30, 30): h = (10, 20), secants m = (2, 1/2)
+        cal = AxisCalibration(((0.0, 0.0), (10.0, 20.0), (30.0, 30.0)))
+        # interior: w1 = 2*20 + 10 = 50, w2 = 20 + 2*10 = 40,
+        #   1/d1 = (50/2 + 40/(1/2))/90 = 105/90, so d1 = 6/7
+        # left end: ((2*10 + 20)*2 - 10*(1/2))/30 = 5/2, same sign as m0
+        # right end: ((2*20 + 10)*(1/2) - 20*2)/30 = -1/2, sign opposite
+        #   to its secant 1/2, so 0
+        d = _pchip_slopes(cal.thetas, cal.alphas)
+        assert d == pytest.approx([2.5, 6 / 7, 0.0], rel=1e-15, abs=0)
+        # midpoints, s = 1/2: (y0 + y1)/2 + h (d0 - d1)/8
+        assert axis_from_offset(cal, 5.0) == pytest.approx(
+            10 + 10 * (2.5 - 6 / 7) / 8, rel=1e-14)
+        assert axis_from_offset(cal, 20.0) == pytest.approx(
+            25 + 20 * (6 / 7) / 8, rel=1e-14)
+
+    def test_end_slope_capped_at_three_secants(self):
+        # nodes (0, 50), (1, 51), (2, 0): the three-point end estimate
+        # ((2 + 1)*1 - 1*(-51))/2 = 27 exceeds 3 m0 = 3 where the secants
+        # change sign, so the left slope is 3
+        cal = AxisCalibration(((0.0, 50.0), (1.0, 51.0), (2.0, 0.0)))
+        assert _pchip_slopes(cal.thetas, cal.alphas)[0] == 3.0
+
+    def test_flat_segment_and_sign_change_give_zero_slope(self):
+        flat = AxisCalibration(((0.0, 10.0), (10.0, 20.0), (20.0, 20.0),
+                                (30.0, 40.0)))
+        assert list(_pchip_slopes(flat.thetas, flat.alphas)[1:3]) == [0, 0]
+        vals = lookups(flat, np.linspace(10.0, 20.0, 101))
+        assert np.max(np.abs(vals - 20.0)) <= 1e-13
+        peak = AxisCalibration(((0.0, 10.0), (10.0, 30.0), (30.0, 20.0)))
+        assert _pchip_slopes(peak.thetas, peak.alphas)[1] == 0.0
+        assert lookups(peak, np.linspace(0.0, 30.0, 3001)).max() == 30.0
+
+    def test_overflowing_slopes_rejected(self):
+        cal = AxisCalibration(((0.0, 0.0), (5e-324, 10.0), (1.0, 20.0)))
+        with pytest.raises(ValueError, match="too close"):
+            axis_from_offset(cal, 0.5)
+
+
+class TestPchipScipyOracle:
+    """scipy's PchipInterpolator as an independent oracle, when installed."""
+
+    def test_matches_scipy(self):
+        # to 1e-12 of the table's largest |alpha|: scipy evaluates a
+        # power-form cubic, so near alpha = 0 both carry the same absolute
+        # rounding, about 1e-14 degrees
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(34)
+        cals = [load_axis_calibration(SHIPPED_CALIBRATION)]
+        cals += [random_table(rng) for _ in range(200)]
+        for i, cal in enumerate(cals):
+            x, y = cal.thetas, cal.alphas
+            oracle = interpolate.PchipInterpolator(x, y, extrapolate=False)
+            grid = np.linspace(x[0], x[-1], 10001 if i == 0 else 501)
+            grid = np.concatenate([grid, x])
+            err = np.max(np.abs(lookups(cal, grid) - oracle(grid)))
+            assert err <= 1e-12 * np.max(np.abs(y))
 
 
 class TestCalibrationCsv:

@@ -417,9 +417,27 @@ class TestHarnessContracts:
 
     def test_import_leaves_scipy_unloaded(self, tmp_path):
         proc = run_python(["-c", "import sys, rpdcsim; "
+                                 "print('scipy' in sys.modules); "
+                                 "cal = rpdcsim.load_axis_calibration("
+                                 f"{CALIBRATION!r}); "
+                                 "rpdcsim.axis_from_offset(cal, 47.5); "
                                  "print('scipy' in sys.modules)"], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "False"]
+
+    def test_axis_cal_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes every scipy import fail
+        argv = ["axis-cal", "--calibration", CALIBRATION,
+                "--thetas", "0:175:2.5", "--out", "blocked"]
+        proc = run_python(["-c", "import sys; sys.modules['scipy'] = None; "
+                                 "from rpdcsim.cli import main; "
+                                 f"sys.exit(main({argv!r}))"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv[:-1] + [str(tmp_path / "here")]) == 0
+        blocked, here = ((tmp_path / d / "axis_cal.csv").read_bytes()
+                         for d in ("blocked", "here"))
+        assert blocked == here
+        assert len(read_rows(tmp_path / "blocked" / "axis_cal.csv")[1]) == 71
 
     def test_no_subcommand_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "rpdcsim"],
