@@ -3,6 +3,11 @@
 Jones vectors, Stokes vectors, density matrices, the Pauli basis and the
 conversions among them, plus fidelity/purity metrics.
 
+Every state is a qubit, so no eigendecomposition is needed: for the entries
+of ``[[a, b], [c, d]]``, Stokes is ``(a + d, Re(b + c), Im(c - b), a - d)``,
+the eigenvalues are ``tr/2 -+ hypot((a - d)/2, |b|)``, and the fidelity is
+Hübner's ``tr(rho sigma) + 2 sqrt(det rho det sigma)`` (PLA 163, 239, 1992).
+
 Conventions used throughout the package:
 
 * Computational basis: ``|0> = H`` (horizontal), ``|1> = V`` (vertical).
@@ -19,6 +24,7 @@ normalize by ``s0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +131,7 @@ class StokesVector:
     s3: float
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in self.as_tuple()):
+        if not all(map(math.isfinite, self.as_tuple())):
             raise ValueError("Stokes components must be finite")
 
     def as_tuple(self) -> tuple:
@@ -146,12 +152,6 @@ class StokesVector:
     def is_physical(self, tol: float = 1e-9) -> bool:
         return self.s0 > 0 and self.degree_of_polarization() <= 1 + tol
 
-    def normalized(self) -> "StokesVector":
-        if self.s0 <= 0:
-            raise ValueError("cannot normalize a Stokes vector with s0 <= 0")
-        return StokesVector(1.0, self.s1 / self.s0, self.s2 / self.s0,
-                            self.s3 / self.s0)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -169,21 +169,32 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not all(map(math.isfinite, m.view(float).ravel().tolist())):
             raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) >= HERMITICITY_TOL:
+        # max |m - m^H| is 2 |Im| on the diagonal and |b - conj(c)| off it;
+        # abs(off) runs only once both parts are small, so it cannot overflow
+        (a, b), (c, d) = m.tolist()
+        off = b - c.conjugate()
+        if (2.0 * max(abs(a.imag), abs(d.imag)) >= HERMITICITY_TOL
+                or max(abs(off.real), abs(off.imag)) >= HERMITICITY_TOL
+                or abs(off) >= HERMITICITY_TOL):
             raise ValueError("density matrix is not Hermitian")
-        if abs(m.trace() - 1) >= TRACE_TOL:
-            raise ValueError(f"density matrix trace {m.trace():.17g} != 1")
+        if abs(a + d - 1) >= TRACE_TOL:
+            raise ValueError(f"density matrix trace {a + d:.17g} != 1")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues, ascending."""
-        return np.linalg.eigvalsh(self.matrix)
+        """Real eigenvalues ``tr/2 -+ hypot((a - d)/2, |b|)``, ascending."""
+        return np.array(self._spectrum())
 
     def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
+        return self._spectrum()[0]
+
+    def _spectrum(self) -> tuple:
+        (a, b), (_, d) = self.matrix.tolist()
+        half = math.hypot(0.5 * (a.real - d.real), b.real, b.imag)
+        return 0.5 * (a.real + d.real) - half, 0.5 * (a.real + d.real) + half
 
     def is_physical(self, eigenvalue_floor: float = PSD_EIGENVALUE_FLOOR) -> bool:
         return self.min_eigenvalue() >= eigenvalue_floor
@@ -203,13 +214,9 @@ def jones_to_density(v: JonesVector) -> DensityMatrix:
 
 def density_to_stokes(rho: DensityMatrix) -> StokesVector:
     """Stokes components ``s_i = trace(rho sigma_i)`` (so ``s0 = 1``)."""
-    m = rho.matrix
-    return StokesVector(
-        float(np.real(np.trace(m))),
-        float(np.real(np.trace(m @ SIGMA_1))),
-        float(np.real(np.trace(m @ SIGMA_2))),
-        float(np.real(np.trace(m @ SIGMA_3))),
-    )
+    (a, b), (c, d) = rho.matrix.tolist()
+    return StokesVector((a + d).real, (b + c).real, (c - b).imag,
+                        (a - d).real)
 
 
 def stokes_to_density(s: StokesVector) -> DensityMatrix:
@@ -220,21 +227,17 @@ def stokes_to_density(s: StokesVector) -> DensityMatrix:
     """
     if s.s0 <= 0:
         raise ValueError(f"total power s0 must be positive, got {s.s0}")
-    n = s.normalized()
-    m = 0.5 * (SIGMA_0 + n.s1 * SIGMA_1 + n.s2 * SIGMA_2 + n.s3 * SIGMA_3)
-    return DensityMatrix(m)
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    x, y, z = s.s1 / s.s0, s.s2 / s.s0, s.s3 / s.s0
+    return DensityMatrix([[0.5 * (1 + z), complex(0.5 * x, -0.5 * y)],
+                          [complex(0.5 * x, 0.5 * y), 0.5 * (1 - z)]])
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity ``(trace sqrt(sqrt(a) b sqrt(a)))^2`` in [0, 1].
 
-    Equals ``<psi|a|psi>`` when ``b`` is the pure state ``|psi><psi|``.
+    Computed by Hübner's qubit closed form ``tr(a b) + 2 sqrt(det a det b)``,
+    each determinant clamped at 0. Equals ``<psi|a|psi>`` when ``b`` is the
+    pure state ``|psi><psi|``.
 
     Raises:
         ValueError: if either argument is not positive semidefinite.
@@ -244,13 +247,15 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
             raise ValueError(
                 f"fidelity argument {name} is not positive semidefinite "
                 f"(min eigenvalue {rho.min_eigenvalue():.3e})")
-    sa = _psd_sqrt(a.matrix)
-    inner = sa @ b.matrix @ sa
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    f = float(np.sqrt(vals).sum() ** 2)
-    return min(max(f, 0.0), 1.0)
+    (a0, a1), (a2, a3) = a.matrix.tolist()
+    (b0, b1), (b2, b3) = b.matrix.tolist()
+    overlap = (a0 * b0 + a1 * b2 + a2 * b1 + a3 * b3).real
+    det_a = max((a0 * a3 - a1 * a2).real, 0.0)
+    det_b = max((b0 * b3 - b1 * b2).real, 0.0)
+    return min(max(overlap + 2.0 * math.sqrt(det_a * det_b), 0.0), 1.0)
 
 
 def purity(rho: DensityMatrix) -> float:
     """``trace(rho^2)``; 1 for pure states, 1/2 for the maximally mixed."""
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+    (a, b), (c, d) = rho.matrix.tolist()
+    return (a * a + b * c + c * b + d * d).real

@@ -40,7 +40,6 @@ from .polarization import (
     DensityMatrix,
     StokesVector,
     cardinal_state,
-    density_to_stokes,
     fidelity,
     jones_to_density,
     stokes_to_density,
@@ -95,7 +94,8 @@ class MeasurementRecord:
             raise ValueError("record needs p0 + p1 > 0")
         if self.counts is not None:
             n0, n1 = self.counts
-            if n0 != int(n0) or n1 != int(n1) or n0 < 0 or n1 < 0:
+            if not all(abs(n) < math.inf and n == int(n) and
+                       0 <= n <= sys.float_info.max for n in (n0, n1)):
                 raise ValueError(f"counts must be non-negative integers, "
                                  f"got {self.counts!r}")
             object.__setattr__(self, "counts", (int(n0), int(n1)))
@@ -400,8 +400,8 @@ def mle_reconstruct(records) -> TomographyResult:
 
 
 def _mle_result(x, log_likelihood, iterations, converged) -> TomographyResult:
-    rho = stokes_to_density(StokesVector(1.0, *x))
-    return TomographyResult(rho=rho, stokes=density_to_stokes(rho),
+    stokes = StokesVector(1.0, *x)
+    return TomographyResult(rho=stokes_to_density(stokes), stokes=stokes,
                             log_likelihood=log_likelihood,
                             iterations=iterations, converged=converged)
 

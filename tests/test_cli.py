@@ -221,6 +221,17 @@ class TestTomography:
         flat = want.rho.matrix.ravel()
         assert max(abs(g - w) for g, w in zip(got, flat)) < 1e-12
 
+    def test_records_count_beyond_float_range_exits_2(self, tmp_path,
+                                                      capsys):
+        # a 400-digit count parses as an int but has no float weight
+        rec_csv = tmp_path / "records.csv"
+        rec_csv.write_text("basis,p0,p1,n0,n1\n"
+                           f"HV,0.5,0.5,{10 ** 400},1\n"
+                           "DA,0.5,0.5,5,5\nRL,0.5,0.5,5,5\n")
+        assert main(["tomography", "--records", str(rec_csv),
+                     "--out", str(tmp_path)]) == 2
+        assert "non-negative integers" in capsys.readouterr().err
+
     def test_noise_seed_changes_output(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"device": SHIPPED_DEVICE,

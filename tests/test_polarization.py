@@ -1,10 +1,13 @@
 """State representations, conversions and metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rpdcsim.polarization import (
     CARDINAL_LABELS,
+    HERMITICITY_TOL,
     PAULI_BASIS,
     RHO_MIXED,
     DensityMatrix,
@@ -27,6 +30,35 @@ def random_density(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace())
+
+
+def random_pure(rng):
+    """Rank-one projector of a random Jones vector, and the vector."""
+    z = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return jones_to_density(JonesVector(*z)), z / np.linalg.norm(z)
+
+
+def random_hermitian(rng):
+    """Hermitian trace-one matrix, indefinite about half the time."""
+    x = rng.normal(size=3) * rng.uniform(0.0, 2.0) / np.sqrt(3)
+    return stokes_to_density(StokesVector(1.0, *x))
+
+
+def eigh_fidelity(a, b):
+    """Uhlmann fidelity through two eigendecompositions: the oracle."""
+    vals, vecs = np.linalg.eigh(a.matrix)
+    sa = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    inner = np.linalg.eigvalsh(sa @ b.matrix @ sa)
+    return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
+
+
+def array_rejects(m):
+    """The construction checks as whole-array numpy expressions: the oracle."""
+    m = np.array(m, dtype=complex)
+    with np.errstate(over="ignore"):
+        return (m.shape != (2, 2) or not np.all(np.isfinite(m))
+                or np.max(np.abs(m - m.conj().T)) >= HERMITICITY_TOL
+                or abs(m.trace() - 1) >= 1e-12)
 
 
 def random_unitary(rng):
@@ -144,6 +176,91 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0
 
+    def test_matrix_is_a_copy(self):
+        m = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
+        rho = DensityMatrix(m)
+        m[0, 0] = 7.0
+        assert rho.matrix[0, 0] == 0.5
+
+    def test_eigenvalues_match_eigvalsh(self):
+        rng = np.random.default_rng(21)
+        states = [random_density(rng) for _ in range(300)]
+        states += [random_hermitian(rng) for _ in range(300)]
+        states += [random_pure(rng)[0] for _ in range(300)]
+        for rho in states:
+            want = np.linalg.eigvalsh(rho.matrix)
+            got = rho.eigenvalues()
+            assert isinstance(got, np.ndarray) and got[0] <= got[1]
+            assert np.abs(got - want).max() <= 2e-15
+            assert abs(rho.min_eigenvalue() - want[0]) <= 2e-15
+
+    @pytest.mark.parametrize("tol_factor", [0.5, 1.0])
+    def test_hermiticity_threshold(self, tol_factor):
+        # each asymmetry just under, at and just over the tolerance: the
+        # imaginary part of a diagonal entry counts twice in |m - m^H|
+        base = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+        edge = tol_factor * HERMITICITY_TOL
+        seen = set()
+        for eps in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0),
+                    0.9 * edge, 1.1 * edge):
+            cases = []
+            if tol_factor == 0.5:
+                for k in (0, 1):
+                    m = base.copy()
+                    m[k, k] += 1j * eps  # the trace moves by eps < TRACE_TOL
+                    cases.append(m)
+                    m = m.copy()
+                    m[1 - k, 1 - k] -= 1j * eps
+                    cases.append(m)
+            else:
+                for delta in (eps, 1j * eps, -eps, eps * np.exp(0.7j)):
+                    for i, j in ((0, 1), (1, 0)):
+                        m = base.copy()
+                        m[i, j] += delta
+                        cases.append(m)
+                    m = np.array([[0.5, delta], [0.0, 0.5]])
+                    cases.append(m)
+            for m in cases:
+                rejected = array_rejects(m)
+                seen.add(rejected)
+                if rejected:
+                    with pytest.raises(ValueError, match="Hermitian"):
+                        DensityMatrix(m)
+                else:
+                    DensityMatrix(m)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_rejected(self, bad):
+        # in the real or the imaginary part of each entry alone
+        for i in range(2):
+            for j in range(2):
+                for z in (complex(bad, 0.0), complex(0.0, bad)):
+                    m = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+                    m[i, j] = z
+                    assert array_rejects(m)
+                    with pytest.raises(ValueError, match="finite"):
+                        DensityMatrix(m)
+
+    def test_trace_threshold(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.diag([0.5 + 1e-12, 0.5 + 1e-12]))
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.diag([0.5 - 1e-12, 0.5 - 1e-12]))
+        rho = DensityMatrix(np.diag([0.5 + 2.5e-13, 0.5 + 2.5e-13]))
+        assert not array_rejects(rho.matrix)
+
+    def test_huge_hermitian_entries_accepted(self):
+        # finite but with |b| beyond the float range: the checks must not
+        # overflow, and the matrix is Hermitian, so it is kept
+        m = np.array([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.5]])
+        assert not array_rejects(m)
+        assert not DensityMatrix(m).is_physical()
+        asym = np.array([[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]])
+        assert array_rejects(asym)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(asym)
+
 
 class TestConversions:
     def test_h_projector(self):
@@ -211,6 +328,23 @@ class TestConversions:
         rho = stokes_to_density(StokesVector(1, 0.9, 0.9, 0.9))
         assert not rho.is_physical()
 
+    def test_stokes_is_trace_with_pauli(self):
+        rng = np.random.default_rng(22)
+        states = [random_density(rng) for _ in range(200)]
+        states += [random_hermitian(rng) for _ in range(200)]
+        for rho in states:
+            got = density_to_stokes(rho).as_tuple()
+            want = [np.trace(rho.matrix @ s).real for s in PAULI_BASIS]
+            assert np.abs(np.subtract(got, want)).max() <= 1e-15
+
+    def test_purity_is_trace_of_square(self):
+        rng = np.random.default_rng(23)
+        states = [random_density(rng) for _ in range(200)]
+        states += [random_hermitian(rng) for _ in range(200)]
+        for rho in states:
+            want = np.trace(rho.matrix @ rho.matrix).real
+            assert abs(purity(rho) - want) <= 1e-15
+
     def test_pure_states_have_unit_purity(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
@@ -231,6 +365,16 @@ class TestStokesVector:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             StokesVector(1, np.inf, 0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     np.float64(np.nan), np.float64(-np.inf),
+                                     np.float32(np.inf)])
+    def test_nonfinite_rejected_in_each_slot(self, bad):
+        for slot in range(4):
+            parts = [1.0, 0.0, 0.0, 0.0]
+            parts[slot] = bad
+            with pytest.raises(ValueError, match="finite"):
+                StokesVector(*parts)
 
 
 class TestFidelityAndPurity:
@@ -270,14 +414,42 @@ class TestFidelityAndPurity:
                                                      abs=1e-10)
 
     def test_closed_form_cross_check(self):
-        # for qubits F = tr(rho sigma) + 2 sqrt(det rho det sigma)
+        # against the eigendecomposition form on full-rank pairs; the
+        # oracle's own rounding grows as a state nears the sphere
         rng = np.random.default_rng(15)
-        for _ in range(100):
+        for _ in range(2000):
             a, b = random_density(rng), random_density(rng)
-            want = (np.trace(a.matrix @ b.matrix).real
-                    + 2 * np.sqrt(np.linalg.det(a.matrix).real
-                                  * np.linalg.det(b.matrix).real))
-            assert fidelity(a, b) == pytest.approx(want, abs=1e-10)
+            assert abs(fidelity(a, b) - eigh_fidelity(a, b)) <= 2e-13
+
+    def test_pure_and_rank_deficient_pairs(self):
+        # F = <psi|sigma|psi> when a = |psi><psi|; rounding leaves det a
+        # near 1e-17, whose square root both forms carry, so 2e-8 here
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            a, psi = random_pure(rng)
+            b = random_density(rng) if rng.uniform() < 0.5 else (
+                random_pure(rng)[0])
+            want = np.vdot(psi, b.matrix @ psi).real
+            for f in (fidelity(a, b), fidelity(b, a)):
+                assert abs(f - want) <= 2e-8
+                assert abs(f - eigh_fidelity(a, b)) <= 5e-8
+
+    def test_exact_rank_one_pairs(self):
+        h, v = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        d = np.full((2, 2), 0.5)
+        for a, b, want in ((h, h, 1.0), (h, v, 0.0), (h, d, 0.5),
+                           (d, RHO_MIXED.matrix, 0.5)):
+            a, b = DensityMatrix(a), DensityMatrix(b)
+            assert fidelity(a, b) == want
+            assert eigh_fidelity(a, b) == pytest.approx(want, abs=1e-15)
+
+    def test_negative_determinant_clamped(self):
+        # inside the PSD floor, det a < 0: clamped, not a math domain error
+        a = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
+        assert a.is_physical()
+        assert fidelity(a, RHO_MIXED) == pytest.approx(0.5, abs=1e-10)
+        assert fidelity(RHO_MIXED, a) == pytest.approx(0.5, abs=1e-10)
+        assert fidelity(a, a) == 1.0
 
     def test_nonphysical_input_rejected(self):
         bad = DensityMatrix(np.array([[1.2, 0], [0, -0.2]], dtype=complex))

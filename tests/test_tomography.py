@@ -13,6 +13,7 @@ from rpdcsim.polarization import (
     RHO_MIXED,
     StokesVector,
     cardinal_state,
+    density_to_stokes,
     fidelity,
     jones_to_density,
     purity,
@@ -498,6 +499,34 @@ class TestMleReconstruct:
             got = np.array(res.stokes.as_tuple()[1:])
             assert np.abs(got - bisection_mle((da, rl, hv))).max() < 1e-11
 
+    def test_result_stokes_is_the_solution(self):
+        # the reported Stokes vector is (1, *x) itself, not read back from
+        # rho; rho is built from it, and reading it back agrees to 1e-15
+        interior = ((60, 40), (13, 87), (71, 29))  # HV, DA, RL
+        boundary = ((54, 329), (298, 30), (284, 173))
+        for counts in (interior, boundary):
+            recs = tuple(MeasurementRecord(b, n0 / (n0 + n1), n1 / (n0 + n1),
+                                           counts=(n0, n1))
+                         for b, (n0, n1) in zip(BASES, counts))
+            res = mle_reconstruct(recs)
+            hv, da, rl = ((float(n0), float(n1)) for n0, n1 in counts)
+            if counts is interior:
+                assert res.iterations == 0
+                want = tuple((a - b) / (a + b) for a, b in (da, rl, hv))
+            else:
+                assert res.iterations > 0
+                want = bisection_mle((da, rl, hv))
+                assert sum(v * v for v in res.stokes.as_tuple()[1:]) == (
+                    pytest.approx(1.0, abs=1e-12))
+            s = res.stokes.as_tuple()
+            assert s[0] == 1.0
+            assert np.abs(np.subtract(s[1:], want)).max() <= (
+                0.0 if counts is interior else 1e-11)
+            assert np.array_equal(res.rho.matrix,
+                                  stokes_to_density(res.stokes).matrix)
+            back = density_to_stokes(res.rho).as_tuple()
+            assert np.abs(np.subtract(back, s)).max() <= 1e-15
+
     def test_zero_weight_basis_rejected(self):
         recs = (MeasurementRecord("HV", 0.6, 0.4, counts=(60, 40)),
                 MeasurementRecord("DA", 0.5, 0.5, counts=(0, 0)),
@@ -563,6 +592,22 @@ class TestRecordValidation:
     def test_fractional_counts(self):
         with pytest.raises(ValueError, match="integer"):
             MeasurementRecord("HV", 0.5, 0.5, counts=(10.5, 3))
+
+    @pytest.mark.parametrize("bad", [math.inf, 1e400, math.nan, -math.inf,
+                                     np.float64(np.nan), np.float32(np.inf),
+                                     10 ** 400])
+    def test_nonfinite_counts(self, bad):
+        # 10**400 is an integer, but its float weight would overflow
+        for counts in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError,
+                               match="counts must be non-negative integers"):
+                MeasurementRecord("HV", 0.5, 0.5, counts=counts)
+
+    def test_integral_counts_normalized_to_int(self):
+        rec = MeasurementRecord("HV", 0.5, 0.5,
+                                counts=(np.int64(3), np.float64(4.0)))
+        assert rec.counts == (3, 4)
+        assert all(type(n) is int for n in rec.counts)
 
     def test_weights_fall_back_to_powers(self):
         r = MeasurementRecord("HV", 0.7, 0.3)
