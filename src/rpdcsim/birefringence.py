@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import read_csv
 from .polarization import rotated_diagonal
 
 NM_PER_MM = 1e6
@@ -162,29 +163,10 @@ def _hermite(x, y, d, t) -> float:
 
 def load_axis_calibration(path) -> AxisCalibration:
     """Read a calibration CSV with header `theta_deg,alpha_deg`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    rows = [(i + 1, line.strip()) for i, line in enumerate(lines)
-            if line.strip() and not line.lstrip().startswith("#")]
-    if not rows:
-        raise ValueError(f"{path}: empty calibration file")
-    header_no, header = rows[0]
-    if [c.strip() for c in header.split(",")] != ["theta_deg", "alpha_deg"]:
-        raise ValueError(f"{path}:{header_no}: expected header "
-                         f"'theta_deg,alpha_deg', got {header!r}")
-    samples = []
-    for line_no, line in rows[1:]:
-        parts = [c.strip() for c in line.split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{line_no}: expected 2 columns, "
-                             f"got {len(parts)}")
-        try:
-            samples.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: non-numeric value in "
-                             f"{line!r}") from None
+    samples = read_csv(path, [("theta_deg", "alpha_deg")],
+                       lambda theta, alpha: (float(theta), float(alpha)))
     try:
-        return AxisCalibration(tuple(samples))
+        return AxisCalibration(samples)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._files import check_fields, read_json, read_number
 from .birefringence import (
     RotatedRetarder,
     axis_from_offset,
@@ -37,6 +37,7 @@ from .tomography import (
 CONFIG_FIELDS = ("device", "calibration", "lengths_mm", "thetas_deg",
                  "noise", "out_dir", "seed")
 NOISE_FIELDS = ("counts_per_basis",)
+RANGE_FIELDS = ("start", "stop", "step")
 
 TOMOGRAPHY_STATES = ("H", "V", "D", "A", "R", "L")
 
@@ -59,22 +60,9 @@ class ExperimentConfig:
 def _expand_range(value, name):
     """A sweep range is a non-empty increasing list or a start/stop/step."""
     if isinstance(value, dict):
-        unknown = sorted(set(value) - {"start", "stop", "step"})
-        if unknown:
-            raise ValueError(f"{name}: unknown range keys: "
-                             f"{', '.join(unknown)}")
-        try:
-            start, stop, step = (float(value[k])
-                                 for k in ("start", "stop", "step"))
-        except KeyError as exc:
-            raise ValueError(f"{name}: range needs start, stop, step "
-                             f"(missing {exc.args[0]})") from None
-        except (TypeError, ValueError):
-            raise ValueError(f"{name}: range start, stop and step must be "
-                             f"numbers, got {value!r}") from None
-        if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise ValueError(f"{name}: range start, stop and step must be "
-                             f"finite, got {start}, {stop}, {step}")
+        check_fields(value, f"{name} range", RANGE_FIELDS, RANGE_FIELDS)
+        start, stop, step = (read_number(value[k], f"{name} range {k}")
+                             for k in RANGE_FIELDS)
         if step <= 0:
             raise ValueError(f"{name}: step must be > 0, got {step}")
         if stop < start:
@@ -95,10 +83,7 @@ def _expand_range(value, name):
     if isinstance(value, (list, tuple)):
         if not value:
             raise ValueError(f"{name}: sweep range must be non-empty")
-        try:
-            vals = [float(v) for v in value]
-        except (TypeError, ValueError):
-            raise ValueError(f"{name}: sweep values must be numbers") from None
+        vals = [read_number(v, f"{name} sweep value") for v in value]
         for a, b in zip(vals, vals[1:]):
             if b <= a:
                 raise ValueError(f"{name}: sweep values must be strictly "
@@ -133,18 +118,7 @@ def _parse_values_flag(text, name):
 def _load_config_file(path):
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - set(CONFIG_FIELDS))
-    if unknown:
-        raise ValueError(f"{path}: unknown config fields: "
-                         f"{', '.join(unknown)}")
-    return raw
+    return check_fields(read_json(path), f"{path}: config", CONFIG_FIELDS)
 
 
 def _read_seed(value) -> int:
@@ -158,24 +132,20 @@ def _read_seed(value) -> int:
 
 def _read_counts(value) -> float:
     """A finite number > 0; a string such as "5" is not a number."""
-    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
-        raise ValueError("noise counts_per_basis must be a finite number "
-                         f"> 0, got {value!r}")
-    return float(value)
+    counts = read_number(value, "noise counts_per_basis")
+    if counts <= 0:
+        raise ValueError(f"noise counts_per_basis must be > 0, got {value!r}")
+    return counts
 
 
 def _resolve_config(raw: dict, args) -> ExperimentConfig:
     noise = raw.get("noise", {})
     if noise is None:
         noise = {}
-    if not isinstance(noise, dict):
-        raise ValueError("config noise must be a JSON object")
-    unknown = sorted(set(noise) - set(NOISE_FIELDS))
-    if unknown:
-        raise ValueError(f"unknown noise fields: {', '.join(unknown)}")
+    check_fields(noise, "config noise", NOISE_FIELDS)
 
     seed = raw.get("seed", 0)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         seed = args.seed
     seed = _read_seed(seed)
 
@@ -203,7 +173,7 @@ def _resolve_config(raw: dict, args) -> ExperimentConfig:
         calibration = args.calibration
 
     out_dir = raw.get("out_dir", "out")
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         out_dir = args.out
 
     # out_dir has a default, so an explicit null is as bad as a number
@@ -273,7 +243,8 @@ def _require(value, flag, subcommand):
     return value
 
 
-def cmd_axis_cal(cfg: ExperimentConfig, meta: dict, out_dir: Path) -> None:
+def cmd_axis_cal(cfg: ExperimentConfig, args, meta: dict,
+                 out_dir: Path) -> None:
     cal_path = _require(cfg.calibration, "--calibration", "axis-cal")
     thetas = _require(cfg.thetas_deg, "--thetas", "axis-cal")
     cal = load_axis_calibration(cal_path)
@@ -284,7 +255,7 @@ def cmd_axis_cal(cfg: ExperimentConfig, meta: dict, out_dir: Path) -> None:
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def cmd_coupler_sweep(cfg: ExperimentConfig, meta: dict,
+def cmd_coupler_sweep(cfg: ExperimentConfig, args, meta: dict,
                       out_dir: Path) -> None:
     device_path = _require(cfg.device, "--device", "coupler-sweep")
     lengths = _require(cfg.lengths_mm, "--lengths", "coupler-sweep")
@@ -297,7 +268,8 @@ def cmd_coupler_sweep(cfg: ExperimentConfig, meta: dict,
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def cmd_extinction(cfg: ExperimentConfig, meta: dict, out_dir: Path) -> None:
+def cmd_extinction(cfg: ExperimentConfig, args, meta: dict,
+                   out_dir: Path) -> None:
     device_path = _require(cfg.device, "--device", "extinction")
     er_t, er_r = extinction_ratios(load_device(device_path))
     payload = {"er_t_db": round(er_t, 2), "er_r_db": round(er_r, 2)}
@@ -307,10 +279,10 @@ def cmd_extinction(cfg: ExperimentConfig, meta: dict, out_dir: Path) -> None:
           f"ER_R {payload['er_r_db']:.2f} dB)")
 
 
-def cmd_tomography(cfg: ExperimentConfig, meta: dict, out_dir: Path,
-                   records_path=None) -> None:
-    if records_path is not None:
-        records = load_measurement_csv(records_path)
+def cmd_tomography(cfg: ExperimentConfig, args, meta: dict,
+                   out_dir: Path) -> None:
+    if args.records is not None:
+        records = load_measurement_csv(args.records)
         result = mle_reconstruct(records)
         path = out_dir / "tomography_records.json"
         _write_json(path, result_to_dict(result), meta)
@@ -335,15 +307,15 @@ def cmd_tomography(cfg: ExperimentConfig, meta: dict, out_dir: Path,
     print(f"wrote {path} and per-state JSON ({len(fid_rows)} states)")
 
 
-def cmd_find_axis(cfg: ExperimentConfig, meta: dict, out_dir: Path,
-                  alpha_deg=None, retardance_rad=None,
-                  transmittance=1.0) -> None:
-    retarder = RotatedRetarder(alpha_deg, retardance_rad, transmittance)
+def cmd_find_axis(cfg: ExperimentConfig, args, meta: dict,
+                  out_dir: Path) -> None:
+    retarder = RotatedRetarder(args.alpha, args.retardance,
+                               args.transmittance)
     recovered = find_axis(retarder)
     payload = {
-        "alpha_deg": alpha_deg,
-        "retardance_rad": retardance_rad,
-        "amplitude_transmittance": transmittance,
+        "alpha_deg": args.alpha,
+        "retardance_rad": args.retardance,
+        "amplitude_transmittance": args.transmittance,
         "recovered_alpha_mod_90_deg": recovered,
     }
     path = out_dir / "find_axis.json"
@@ -368,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axis-cal", parents=[shared],
                        help="interpolate a measured axis calibration table")
+    p.set_defaults(run=cmd_axis_cal)
     p.add_argument("--calibration", metavar="PATH",
                    help="calibration CSV (theta_deg,alpha_deg)")
     p.add_argument("--thetas", metavar="SPEC",
@@ -375,17 +348,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coupler-sweep", parents=[shared],
                        help="cross-port powers per axis vs coupling length")
+    p.set_defaults(run=cmd_coupler_sweep)
     p.add_argument("--device", metavar="PATH", help="device JSON")
     p.add_argument("--lengths", metavar="SPEC",
                    help="lengths in mm: 'a,b,c' or start:stop:step")
 
     p = sub.add_parser("extinction", parents=[shared],
                        help="per-port extinction ratios of a device")
+    p.set_defaults(run=cmd_extinction)
     p.add_argument("--device", metavar="PATH", help="device JSON")
 
     p = sub.add_parser("tomography", parents=[shared],
                        help="reconstruct the six cardinal states through "
                             "a device, or one measured record set")
+    p.set_defaults(run=cmd_tomography)
     p.add_argument("--device", metavar="PATH", help="device JSON")
     p.add_argument("--records", metavar="PATH",
                    help="measurement CSV to reconstruct instead of "
@@ -394,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-axis", parents=[shared],
                        help="recover a retarder axis from crossed-polarizer "
                             "transmission")
+    p.set_defaults(run=cmd_find_axis)
     p.add_argument("--alpha", type=float, required=True, metavar="DEG",
                    help="true axis angle in degrees")
     p.add_argument("--retardance", type=float, required=True, metavar="RAD",
@@ -413,18 +390,7 @@ def main(argv=None) -> int:
         meta = {"config_sha256": _config_digest(cfg, args), "seed": cfg.seed}
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "axis-cal":
-            cmd_axis_cal(cfg, meta, out_dir)
-        elif args.command == "coupler-sweep":
-            cmd_coupler_sweep(cfg, meta, out_dir)
-        elif args.command == "extinction":
-            cmd_extinction(cfg, meta, out_dir)
-        elif args.command == "tomography":
-            cmd_tomography(cfg, meta, out_dir, records_path=args.records)
-        else:
-            cmd_find_axis(cfg, meta, out_dir, alpha_deg=args.alpha,
-                          retardance_rad=args.retardance,
-                          transmittance=args.transmittance)
+        args.run(cfg, args, meta, out_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import check_fields, read_json, read_number
 from .coupling import CouplerParams, coupler_transfer_matrix
 from .polarization import (
     JonesVector,
@@ -297,22 +298,10 @@ def device_to_dict(dev: RpdcDevice) -> dict:
 
 def device_from_dict(data: dict) -> RpdcDevice:
     """Validate a parsed device description; all 8 fields, nothing else."""
-    if not isinstance(data, dict):
-        raise ValueError("device description must be a JSON object")
-    missing = [f for f in DEVICE_JSON_FIELDS if f not in data]
-    if missing:
-        raise ValueError(f"device description missing fields: "
-                         f"{', '.join(missing)}")
-    unknown = [f for f in data if f not in DEVICE_JSON_FIELDS]
-    if unknown:
-        raise ValueError(f"device description has unknown fields: "
-                         f"{', '.join(unknown)}")
-    vals = {}
-    for f in DEVICE_JSON_FIELDS:
-        v = data[f]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"device field {f} must be a number, got {v!r}")
-        vals[f] = float(v)
+    check_fields(data, "device description", DEVICE_JSON_FIELDS,
+                 DEVICE_JSON_FIELDS)
+    vals = {f: read_number(data[f], f"device field {f}")
+            for f in DEVICE_JSON_FIELDS}
     return RpdcDevice(
         alpha_deg=vals["alpha_deg"],
         coupler_slow=CouplerParams.symmetric(0.0, vals["k_slow_rad_per_mm"],
@@ -326,11 +315,7 @@ def device_from_dict(data: dict) -> RpdcDevice:
 
 
 def load_device(path) -> RpdcDevice:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    data = read_json(path)
     try:
         return device_from_dict(data)
     except ValueError as exc:

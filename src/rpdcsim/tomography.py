@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import read_csv
 from .device import RpdcDevice, port_transfer_matrices
 from .polarization import (
     DensityMatrix,
@@ -420,33 +421,12 @@ def cardinal_density(label: str) -> DensityMatrix:
 
 def load_measurement_csv(path) -> tuple:
     """Read records from `basis,p0,p1` CSV (optional n0,n1 columns)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    rows = [(i + 1, line.strip()) for i, line in enumerate(lines)
-            if line.strip() and not line.lstrip().startswith("#")]
-    if not rows:
-        raise ValueError(f"{path}: empty measurement file")
-    header_no, header = rows[0]
-    cols = [c.strip() for c in header.split(",")]
-    if cols != ["basis", "p0", "p1"] and cols != ["basis", "p0", "p1",
-                                                  "n0", "n1"]:
-        raise ValueError(f"{path}:{header_no}: expected header "
-                         f"'basis,p0,p1[,n0,n1]', got {header!r}")
-    with_counts = len(cols) == 5
-    records = []
-    for line_no, line in rows[1:]:
-        parts = [c.strip() for c in line.split(",")]
-        if len(parts) != len(cols):
-            raise ValueError(f"{path}:{line_no}: expected {len(cols)} "
-                             f"columns, got {len(parts)}")
-        try:
-            p0, p1 = float(parts[1]), float(parts[2])
-            counts = ((int(parts[3]), int(parts[4])) if with_counts
-                      else None)
-            records.append(MeasurementRecord(parts[0], p0, p1, counts))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return tuple(records)
+    def record(basis, p0, p1, *counts):
+        return MeasurementRecord(basis, float(p0), float(p1),
+                                 tuple(map(int, counts)) or None)
+
+    return read_csv(path, [("basis", "p0", "p1"),
+                           ("basis", "p0", "p1", "n0", "n1")], record)
 
 
 def save_measurement_csv(records, path, header_comment: str = "") -> None:

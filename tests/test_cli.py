@@ -521,7 +521,8 @@ class TestConfigFuzz:
             {}, {"start": 0, "stop": 2, "step": 0.5}, {"start": 0, "stop": 2},
             {"start": "a", "stop": 2, "step": 1},
             {"start": 0, "stop": 2, "step": 0}, {"counts_per_basis": 5},
-            {"counts_per_basis": [5]}, {"x": 1})
+            {"counts_per_basis": [5]}, {"x": 1}, [1, 10 ** 400],
+            {"start": 0, "stop": 10 ** 400, "step": 1}, ["5"], [True, 2])
     DELETE = object()
 
     def mutations(self, rng):
@@ -558,3 +559,66 @@ class TestConfigFuzz:
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
         assert codes[0] > 100 and codes[2] > 100
+
+    def test_device_field_mutations(self, tmp_path, capsys):
+        base = json.loads(Path(SHIPPED_DEVICE).read_text())
+        dev = tmp_path / "dev.json"
+        codes = {0: 0, 2: 0}
+        for field in base:
+            for value in self.POOL + (self.DELETE,):
+                fields = dict(base)
+                if value is self.DELETE:
+                    del fields[field]
+                else:
+                    fields[field] = value
+                dev.write_text(json.dumps(fields))
+                code = main(["extinction", "--device", str(dev),
+                             "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                assert code in codes and "internal error" not in err, (
+                    field, value, err)
+                codes[code] += 1
+        assert codes[0] > 8 and codes[2] > 100
+
+
+class TestMalformedFiles:
+    """A malformed input file exits 2 with an error naming it or its field."""
+
+    DEVICE = dict(json.loads(Path(SHIPPED_DEVICE).read_text()),
+                  length_mm=10 ** 400)
+    # (flag the file is passed as, its bytes, what the error must name)
+    CASES = [
+        ("--device", b"[" * 200_000, "bad.json"),
+        ("--config", b"[" * 200_000, "bad.json"),
+        ("--device", json.dumps(DEVICE).encode(), "length_mm"),
+        ("--config", b'{"lengths_mm": [1, 1' + b"0" * 400 + b"]}",
+         "lengths_mm"),
+        ("--config", b'{"lengths_mm": {"start": 0, "stop": 1, "step": 1'
+         + b"0" * 400 + b"}}", "step"),
+        ("--config", b'{"seed": ' + b"1" * 4301 + b"}", "bad.json"),
+        ("--device", b'{"alpha_deg": "\xff"}', "bad.json"),
+    ]
+
+    @pytest.mark.parametrize("flag, data, named", CASES, ids=[
+        "nested-device", "nested-config", "huge-device-field",
+        "huge-list-value", "huge-range-step", "int-digit-limit",
+        "device-not-utf8"])
+    def test_exits_2_naming_the_input(self, tmp_path, capsys, flag, data,
+                                      named):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        argv = ["coupler-sweep", "--device", SHIPPED_DEVICE, "--out",
+                str(tmp_path / "out"), flag, str(bad)]
+        if flag == "--device":
+            argv += ["--lengths", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, err
+
+    def test_records_not_utf8(self, tmp_path, capsys):
+        rec_csv = tmp_path / "records.csv"
+        rec_csv.write_bytes(b"basis,p0,p1\nHV,\xff,0\n")
+        assert main(["tomography", "--records", str(rec_csv),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "records.csv" in err, err

@@ -319,6 +319,9 @@ class TestDeviceFiles:
         d["length_mm"] = True
         with pytest.raises(ValueError, match="length_mm"):
             device_from_dict(d)
+        d["length_mm"] = 10 ** 400
+        with pytest.raises(ValueError, match="length_mm"):
+            device_from_dict(d)
 
     def test_invalid_values_rejected(self):
         d = device_to_dict(make_pdc_device(45.0, 0.2, 0.1, 23.0))
