@@ -96,7 +96,7 @@ class AxisCalibration:
         memo = getattr(self, "_interp_memo", None)
         if memo is None:
             x, y = self.thetas, self.alphas
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 d = _pchip_slopes(x, y)
             if not np.isfinite(d).all():
                 raise ValueError("calibration slopes overflow: thetas are "

@@ -34,8 +34,6 @@ from .tomography import (
     run_tomography_experiment,
 )
 
-CONFIG_FIELDS = ("device", "calibration", "lengths_mm", "thetas_deg",
-                 "noise", "out_dir", "seed")
 NOISE_FIELDS = ("counts_per_basis",)
 RANGE_FIELDS = ("start", "stop", "step")
 
@@ -48,13 +46,13 @@ MAX_RANGE_POINTS = 10 ** 6
 class ExperimentConfig:
     """Resolved run settings after config file and flag overrides."""
 
-    device: str = None
-    calibration: str = None
-    lengths_mm: tuple = None
-    thetas_deg: tuple = None
-    counts_per_basis: float = None
-    out_dir: str = "out"
-    seed: int = 0
+    device: str
+    calibration: str
+    lengths_mm: tuple
+    thetas_deg: tuple
+    counts_per_basis: float
+    out_dir: str
+    seed: int
 
 
 def _expand_range(value, name):
@@ -94,99 +92,86 @@ def _expand_range(value, name):
 
 
 def _parse_values_flag(text, name):
-    """Flag syntax: 'a,b,c' explicit values or 'start:stop:step'."""
+    """Flag syntax: 'a,b,c' explicit values or 'start:stop:step'.
+
+    Returns what a config file would hold, a list or a start/stop/step
+    object, for `_expand_range` to check.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"{name}: range flag must be start:stop:step, "
                              f"got {text!r}")
         try:
-            start, stop, step = (float(p) for p in parts)
+            return dict(zip(RANGE_FIELDS, (float(p) for p in parts)))
         except ValueError:
             raise ValueError(f"{name}: range parts must be numbers, "
                              f"got {text!r}") from None
-        return _expand_range({"start": start, "stop": stop, "step": step},
-                             name)
     try:
-        vals = [float(p) for p in text.split(",") if p.strip()]
+        return [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ValueError(f"{name}: values must be comma-separated numbers, "
                          f"got {text!r}") from None
-    return _expand_range(vals, name)
 
 
-def _load_config_file(path):
-    if path is None:
-        return {}
-    return check_fields(read_json(path), f"{path}: config", CONFIG_FIELDS)
+def _read_path(value, name) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"config {name} must be a path string, "
+                         f"got {value!r}")
+    return value
 
 
-def _read_seed(value) -> int:
+def _read_seed(value, name) -> int:
     """An integer >= 0 (numpy's seeder takes no other); 5.0 but not "5"."""
     if type(value) is float and value.is_integer():
         value = int(value)
     if type(value) is not int or value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+        raise ValueError(f"{name} must be a non-negative integer, "
+                         f"got {value!r}")
     return value
 
 
-def _read_counts(value) -> float:
-    """A finite number > 0; a string such as "5" is not a number."""
-    counts = read_number(value, "noise counts_per_basis")
-    if counts <= 0:
-        raise ValueError(f"noise counts_per_basis must be > 0, got {value!r}")
+def _read_noise(value, name) -> float:
+    """The noise object's counts_per_basis, a number NoiseConfig accepts."""
+    counts = check_fields(value, f"config {name}",
+                          NOISE_FIELDS).get("counts_per_basis")
+    if counts is not None:
+        counts = NoiseConfig(read_number(
+            counts, f"{name} counts_per_basis")).counts_per_basis
     return counts
 
 
-def _resolve_config(raw: dict, args) -> ExperimentConfig:
-    noise = raw.get("noise", {})
-    if noise is None:
-        noise = {}
-    check_fields(noise, "config noise", NOISE_FIELDS)
+# config key: (ExperimentConfig field, the attribute of the flag that
+# overrides it, the parser of the flag's text if it needs one, default,
+# reader). The config value and the flag go through the same reader, so a
+# config value is checked even when a flag wins
+SETTINGS = {
+    "device": ("device", "device", None, None, _read_path),
+    "calibration": ("calibration", "calibration", None, None, _read_path),
+    "lengths_mm": ("lengths_mm", "lengths", _parse_values_flag, None,
+                   _expand_range),
+    "thetas_deg": ("thetas_deg", "thetas", _parse_values_flag, None,
+                   _expand_range),
+    "noise": ("counts_per_basis", None, None, None, _read_noise),
+    "out_dir": ("out_dir", "out", None, "out", _read_path),
+    "seed": ("seed", "seed", None, 0, _read_seed),
+}
 
-    seed = raw.get("seed", 0)
-    if args.seed is not None:
-        seed = args.seed
-    seed = _read_seed(seed)
 
-    counts = noise.get("counts_per_basis")
-    if counts is not None:
-        counts = _read_counts(counts)
-
-    lengths = raw.get("lengths_mm")
-    if lengths is not None:
-        lengths = _expand_range(lengths, "lengths_mm")
-    if getattr(args, "lengths", None) is not None:
-        lengths = _parse_values_flag(args.lengths, "lengths_mm")
-
-    thetas = raw.get("thetas_deg")
-    if thetas is not None:
-        thetas = _expand_range(thetas, "thetas_deg")
-    if getattr(args, "thetas", None) is not None:
-        thetas = _parse_values_flag(args.thetas, "thetas_deg")
-
-    device = raw.get("device")
-    if getattr(args, "device", None) is not None:
-        device = args.device
-    calibration = raw.get("calibration")
-    if getattr(args, "calibration", None) is not None:
-        calibration = args.calibration
-
-    out_dir = raw.get("out_dir", "out")
-    if args.out is not None:
-        out_dir = args.out
-
-    # out_dir has a default, so an explicit null is as bad as a number
-    for name, val in (("device", device), ("calibration", calibration),
-                      ("out_dir", out_dir)):
-        if not (isinstance(val, str) or val is None and name != "out_dir"):
-            raise ValueError(f"config {name} must be a path string, "
-                             f"got {val!r}")
-
-    return ExperimentConfig(device=device, calibration=calibration,
-                            lengths_mm=lengths, thetas_deg=thetas,
-                            counts_per_basis=counts, out_dir=out_dir,
-                            seed=seed)
+def _resolve_config(args) -> ExperimentConfig:
+    raw = {} if args.config is None else check_fields(
+        read_json(args.config), f"{args.config}: config", SETTINGS)
+    values = {}
+    for key, (field, flag, parse, default, read) in SETTINGS.items():
+        value = raw.get(key, default)
+        # null leaves a setting with no default unset; the reader of one
+        # with a default rejects null
+        values[field] = (None if value is None and default is None
+                         else read(value, key))
+        given = getattr(args, flag, None) if flag else None
+        if given is not None:
+            values[field] = read(parse(given, key) if parse else given, key)
+    return ExperimentConfig(**values)
 
 
 def _config_digest(cfg: ExperimentConfig, args) -> str:
@@ -198,23 +183,13 @@ def _config_digest(cfg: ExperimentConfig, args) -> str:
             "tomography": records or cfg.device}.get(args.command, cfg.device)
     inputs = {} if read is None else {
         read: hashlib.sha256(Path(read).read_bytes()).hexdigest()}
-    canonical = json.dumps(
-        {
-            "device": cfg.device,
-            "calibration": cfg.calibration,
-            "lengths_mm": (None if cfg.lengths_mm is None
-                           else list(cfg.lengths_mm)),
-            "thetas_deg": (None if cfg.thetas_deg is None
-                           else list(cfg.thetas_deg)),
-            "counts_per_basis": cfg.counts_per_basis,
-            "seed": cfg.seed,
-            "records": records,
-            "find_axis": [getattr(args, f, None)
-                          for f in ("alpha", "retardance", "transmittance")],
-            "inputs": inputs,
-        },
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    # vars, not dataclasses.asdict, which copies a range point by point
+    canonical = dict(vars(cfg), records=records, inputs=inputs,
+                     find_axis=[getattr(args, f, None) for f in
+                                ("alpha", "retardance", "transmittance")])
+    del canonical["out_dir"]
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -385,8 +360,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        raw = _load_config_file(args.config)
-        cfg = _resolve_config(raw, args)
+        cfg = _resolve_config(args)
         meta = {"config_sha256": _config_digest(cfg, args), "seed": cfg.seed}
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -161,12 +161,12 @@ def axis_port_powers(dev: RpdcDevice) -> PortPowers:
                       r_fast=t2 * abs(complex(m_fast[0, 0])) ** 2)
 
 
-def extinction_db(p_num: float, p_den: float,
-                  clamp: float = POWER_CLAMP) -> float:
-    """|10 log10(p_num/p_den)| with dead-zero powers clamped at `clamp`."""
+def extinction_db(p_num: float, p_den: float) -> float:
+    """|10 log10(p_num/p_den)| with dead-zero powers clamped at POWER_CLAMP."""
     if p_num < 0 or p_den < 0:
         raise ValueError("powers must be >= 0")
-    return abs(10.0 * math.log10(max(p_num, clamp) / max(p_den, clamp)))
+    return abs(10.0 * math.log10(max(p_num, POWER_CLAMP)
+                                 / max(p_den, POWER_CLAMP)))
 
 
 def extinction_ratios(dev: RpdcDevice) -> tuple:
@@ -190,13 +190,16 @@ class AxisCheckResult:
     jones: JonesVector
 
 
-_ANGLE_LABELS = {0.0: "H", 45.0: "D", 90.0: "V", 135.0: "A"}
+# polarization angle of each linear cardinal state, in degrees
+_LINEAR_ANGLES = {"H": 0.0, "V": 90.0, "D": 45.0, "A": 135.0}
+# an angle within this many degrees of a cardinal one takes its label
+_ANGLE_TOL = 1e-6
 
 
-def _label_for_angle(angle_deg: float, tol: float = 1e-6) -> str:
-    for ang, label in _ANGLE_LABELS.items():
+def _label_for_angle(angle_deg: float) -> str:
+    for label, ang in _LINEAR_ANGLES.items():
         d = abs(angle_deg - ang) % 180.0
-        if min(d, 180.0 - d) < tol:
+        if min(d, 180.0 - d) < _ANGLE_TOL:
             return label
     return ""
 
@@ -209,10 +212,10 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     analyzes the output against the ideal half-wave image of the input,
     the linear state at 2 alpha - theta_in.
     """
-    if input_label not in ("H", "V", "D", "A"):
-        raise ValueError(f"input_label must be one of H, V, D, A, "
-                         f"got {input_label!r}")
-    theta_in = {"H": 0.0, "V": 90.0, "D": 45.0, "A": 135.0}[input_label]
+    if input_label not in _LINEAR_ANGLES:
+        raise ValueError(f"input_label must be one of "
+                         f"{', '.join(_LINEAR_ANGLES)}, got {input_label!r}")
+    theta_in = _LINEAR_ANGLES[input_label]
     a = dev.alpha_deg
     half = 0.5j * dev.retardance_rad
     t = dev.amplitude_transmittance

@@ -32,6 +32,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
+DOP_TOL = 1e-9
 
 SIGMA_0 = np.array([[1, 0], [0, 1]], dtype=complex)
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -149,8 +150,8 @@ class StokesVector:
             raise ValueError("degree of polarization needs s0 > 0")
         return self.polarized_power / self.s0
 
-    def is_physical(self, tol: float = 1e-9) -> bool:
-        return self.s0 > 0 and self.degree_of_polarization() <= 1 + tol
+    def is_physical(self) -> bool:
+        return self.s0 > 0 and self.degree_of_polarization() <= 1 + DOP_TOL
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,8 @@ class DensityMatrix:
         half = math.hypot(0.5 * (a.real - d.real), b.real, b.imag)
         return 0.5 * (a.real + d.real) - half, 0.5 * (a.real + d.real) + half
 
-    def is_physical(self, eigenvalue_floor: float = PSD_EIGENVALUE_FLOOR) -> bool:
-        return self.min_eigenvalue() >= eigenvalue_floor
+    def is_physical(self) -> bool:
+        return self.min_eigenvalue() >= PSD_EIGENVALUE_FLOOR
 
 
 RHO_MIXED = DensityMatrix(np.eye(2, dtype=complex) / 2)

@@ -64,6 +64,11 @@ _AXIS_STEPS = 100
 _XATOL = 1e-10
 _FATOL = 1e-12
 _MAX_STEPS = 800
+# a basis sum past _WEIGHT_CAP would overflow the multiplier's bracket and
+# the cubic of `_axis_root`: all six weights are then scaled by _WEIGHT_SCALE,
+# a power of four, which scales every iterate of the multiplier exactly
+_WEIGHT_CAP = 2.0 ** 1000
+_WEIGHT_SCALE = 4.0 ** -32
 
 
 class MleDivergenceError(RuntimeError):
@@ -342,24 +347,40 @@ def mle_reconstruct(records) -> TomographyResult:
     lambda > 0, so one scalar root-find (Newton on lambda with a bisection
     safeguard) fixes the multiplier. The converged iterate, pulled into
     the ball, is the answer. `iterations` counts the root-find's steps.
+    Weights near the float range are first scaled by a power of four.
 
     Raises:
         ValueError: a basis has both outcome weights zero, which leaves its
-            Bloch component unidentified.
+            Bloch component unidentified; or, off the interior, a basis's
+            weights are lost in the scale.
         MleDivergenceError: the root-find hit the step cap; the exception's
             `result` field holds the last iterate, pulled into the ball
             (converged=False).
     """
     pairs = _bloch_weights(_records_by_basis(records))
+    scale = 1.0
     for basis, (a, b) in zip(BLOCH_AXES, pairs):
-        if a + b <= 0.0:
-            raise ValueError(f"basis {basis}: both outcome weights are zero, "
-                             f"so its Bloch component is unidentified")
-    x = [(a - b) / (a + b) for a, b in pairs]
+        if not 0.0 < a + b <= _WEIGHT_CAP:
+            if a + b <= 0.0:
+                raise ValueError(f"basis {basis}: both outcome weights are "
+                                 f"zero, so its Bloch component is "
+                                 f"unidentified")
+            scale = _WEIGHT_SCALE
+    # (a - b)/(a + b) is scale-free: the weights before the scale, which can
+    # round a tiny one to 0, give it, except where their sum overflows
+    x = [(a - b) / (a + b) if a + b < math.inf else
+         (a * scale - b * scale) / (a * scale + b * scale) for a, b in pairs]
+    if scale != 1.0:
+        pairs = tuple((a * scale, b * scale) for a, b in pairs)
     r2 = sum(v * v for v in x)
     if r2 <= 1.0:
         # interior: the per-basis frequencies are the MLE
-        return _mle_result(x, _frequency_log_likelihood(pairs), 0, True)
+        return _mle_result(x, _frequency_log_likelihood(pairs) / scale, 0,
+                           True)
+
+    if scale != 1.0 and min(a + b for a, b in pairs) <= 0.0:
+        raise ValueError("a basis's outcome weights are lost in the scale for "
+                         "another's, more than the float range apart")
 
     # phi(lam) = sum x_i(lam)^2 - 1 is bracketed by [lo, hi]: phi(0) > 0,
     # and |x_i(lam)| < (a_i + b_i)/(2 lam) makes phi(hi) < 0
@@ -392,7 +413,8 @@ def mle_reconstruct(records) -> TomographyResult:
     converged = abs(r2 - 1.0) <= _FATOL
     if r2 > 1.0:
         x = [v / math.sqrt(r2) for v in x]
-    result = _mle_result(x, _log_likelihood(pairs, x), steps, converged)
+    result = _mle_result(x, _log_likelihood(pairs, x) / scale, steps,
+                         converged)
     if not converged:
         raise MleDivergenceError(
             f"MLE did not converge within {_MAX_STEPS} multiplier steps",

@@ -94,6 +94,19 @@ class TestAxisCal:
         assert main(["axis-cal", "--thetas", "90",
                      "--out", str(tmp_path)]) == 2
 
+    def test_near_equal_thetas_print_one_error_line(self, tmp_path):
+        # the slope overflow is an input error; numpy's divide-by-zero
+        # warning on the way to it must not reach stderr as well
+        cal = tmp_path / "cal.csv"
+        cal.write_text("theta_deg,alpha_deg\n0,0\n1e-300,1\n2e-300,2\n")
+        proc = run_python(["-m", "rpdcsim", "axis-cal", "--calibration",
+                           str(cal), "--thetas", "0", "--out",
+                           str(tmp_path)], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: calibration slopes overflow: thetas are too close "
+            "together"], proc.stderr
+
 
 class TestCouplerSweep:
     def test_zero_length_only(self, tmp_path):
@@ -231,6 +244,25 @@ class TestTomography:
         assert main(["tomography", "--records", str(rec_csv),
                      "--out", str(tmp_path)]) == 2
         assert "non-negative integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, code", [
+        # the scale for HV's huge weights rounds RL's to 0: inside the
+        # Bloch ball RL's own ratio stands, on the sphere it is lost
+        ("HV,1e305,1e305\nDA,1,1\nRL,1e-310,0\n", 0),
+        ("HV,1e305,1\nDA,1e305,1\nRL,1e-310,3e-310\n", 2),
+    ])
+    def test_records_weights_far_apart(self, tmp_path, capsys, rows, code):
+        rec_csv = tmp_path / "records.csv"
+        rec_csv.write_text("basis,p0,p1\n" + rows)
+        assert main(["tomography", "--records", str(rec_csv),
+                     "--out", str(tmp_path)]) == code
+        if code == 0:
+            payload = json.loads(
+                (tmp_path / "tomography_records.json").read_text())
+            assert payload["stokes"] == [1.0, 0.0, 1.0, 0.0]
+        else:
+            err = capsys.readouterr().err
+            assert err.startswith("error: a basis") and err.count("\n") == 1
 
     def test_noise_seed_changes_output(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -426,6 +458,22 @@ class TestHarnessContracts:
                                  "find_axis.json"))
         assert len(set(hashes)) == 4
 
+    @pytest.mark.parametrize("argv, name, want", [
+        (["extinction", "--device", "data/device_45deg.json"],
+         "extinction.json",
+         "7bc33e57e7cb60789e571038995ae77f0ff87f6798fc6da6395f230ecec28e12"),
+        (["find-axis", "--alpha", "118", "--retardance", "2.3"],
+         "find_axis.json",
+         "517a92de7258c1330645cf23563a91e0d7e4cd880e472c92218e9ec8571ac3da"),
+    ])
+    def test_hash_is_pinned(self, tmp_path, monkeypatch, argv, name, want):
+        # the hash names a run across versions: the same settings and input
+        # bytes must keep the same config_sha256
+        monkeypatch.chdir(DATA.parent)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / name).read_text())
+        assert payload["meta"]["config_sha256"] == want
+
     def test_import_leaves_scipy_unloaded(self, tmp_path):
         proc = run_python(["-c", "import sys, rpdcsim; "
                                  "print('scipy' in sys.modules); "
@@ -496,6 +544,25 @@ class TestConfigFieldTypes:
     ])
     def test_good_value_exits_0(self, tmp_path, capsys, text):
         assert self.run_config(tmp_path, capsys, text)[0] == 0
+
+    @pytest.mark.parametrize("text, flags, field", [
+        ('{"seed": "5"}', ["--seed", "3"], "seed"),
+        ('{"device": 7}', ["--device", SHIPPED_DEVICE], "device"),
+        ('{"out_dir": null}', ["--out", "out"], "out_dir"),
+        ('{"lengths_mm": [2, 1]}', ["--lengths", "1,2"], "lengths_mm"),
+    ])
+    def test_bad_value_under_flag_override_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch, text, flags,
+                                                   field):
+        # a config value is checked even when a flag overrides it
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["coupler-sweep", "--device", SHIPPED_DEVICE,
+                     "--lengths", "1", "--config", str(cfg), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and field in err, err
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["extinction", "--device", SHIPPED_DEVICE, "--seed",

@@ -527,6 +527,59 @@ class TestMleReconstruct:
             back = density_to_stokes(res.rho).as_tuple()
             assert np.abs(np.subtract(back, s)).max() <= 1e-15
 
+    def test_weights_near_float_range(self):
+        # basis sums near 1e308 overflowed the multiplier's bracket, and the
+        # solve returned s3 = -1 marked converged; HV's equal weights, the
+        # largest by far, put s3 at 0. The weights divided by 1e308 give
+        # the same state
+        big = ((1e308, 1e308), (1e308, 1.0), (1.0, 1e-320))
+        small = ((1.0, 1.0), (1.0, 1e-308), (1e-308, 0.0))
+        res, ref = (mle_reconstruct(tuple(
+            MeasurementRecord(b, p0, p1) for b, (p0, p1) in zip(BASES, w)))
+            for w in (big, small))
+        assert res.converged and res.physical
+        assert res.stokes.s1 == pytest.approx(1.0, abs=1e-12)
+        assert abs(res.stokes.s3) < 1e-12
+        assert np.abs(np.subtract(res.stokes.as_tuple(),
+                                  ref.stokes.as_tuple())).max() < 1e-15
+        assert math.isfinite(res.log_likelihood)
+
+    def test_weights_the_scale_rounds_to_zero(self):
+        # with HV's sum past 2**1000 the scale rounds RL's weights to 0.
+        # Inside the ball x_i is each basis's own ratio, taken before the
+        # scale; on the sphere RL's x_i would need the lost weights
+        def solve(rl):
+            return mle_reconstruct((MeasurementRecord("HV", 1e305, 1e305),
+                                    MeasurementRecord("DA", 1.0, 1.0),
+                                    MeasurementRecord("RL", *rl)))
+        assert solve((1e-310, 0.0)).stokes.as_tuple() == (1.0, 0.0, 1.0, 0.0)
+        assert solve((1e-310, 3e-310)).stokes.as_tuple() == (
+            1.0, 0.0, -0.5, 0.0)
+        with pytest.raises(ValueError, match="outcome weights are lost "
+                                             "in the scale"):
+            mle_reconstruct((MeasurementRecord("HV", 1e305, 1.0),
+                             MeasurementRecord("DA", 1e305, 1.0),
+                             MeasurementRecord("RL", 1e-310, 3e-310)))
+
+    def test_weights_scaled_by_a_power_of_four_solve_alike(self):
+        # weights whose basis sum passes 2**1000 are scaled down inside the
+        # solver: the state and step count equal those of weights 4**500
+        # times smaller, and the log-likelihood is 4**500 times theirs
+        rng = np.random.default_rng(58)
+        steps = []
+        for _ in range(200):
+            w = rng.uniform(1.0, 1000.0, size=(3, 2))
+            small, big = (tuple(
+                MeasurementRecord(b, float(p0) * f, float(p1) * f)
+                for b, (p0, p1) in zip(BASES, w))
+                for f in (1.0, 4.0 ** 500))
+            a, b = mle_reconstruct(small), mle_reconstruct(big)
+            assert b.stokes.as_tuple() == a.stokes.as_tuple()
+            assert b.iterations == a.iterations
+            assert b.log_likelihood == a.log_likelihood * 4.0 ** 500
+            steps.append(a.iterations)
+        assert 0 in steps and max(steps) > 0
+
     def test_zero_weight_basis_rejected(self):
         recs = (MeasurementRecord("HV", 0.6, 0.4, counts=(60, 40)),
                 MeasurementRecord("DA", 0.5, 0.5, counts=(0, 0)),
