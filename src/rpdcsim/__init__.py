@@ -7,6 +7,8 @@ diagnostics, and single-qubit state tomography with linear and
 maximum-likelihood reconstruction.
 """
 
+import types
+
 from .polarization import (
     CARDINAL_STATES,
     DensityMatrix,
@@ -79,64 +81,7 @@ from .tomography import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxisCalibration",
-    "AxisCheckResult",
-    "AxisUnobservableError",
-    "CARDINAL_STATES",
-    "CouplerParams",
-    "DensityMatrix",
-    "JonesVector",
-    "MeasurementRecord",
-    "MleDivergenceError",
-    "ModeAmplitudes",
-    "NoiseConfig",
-    "PortPowers",
-    "RHO_MIXED",
-    "RotatedRetarder",
-    "RpdcDevice",
-    "StokesVector",
-    "SweepPoint",
-    "TomographyResult",
-    "axis_from_offset",
-    "axis_port_powers",
-    "bend_phase_from_shortening",
-    "cardinal_density",
-    "cardinal_state",
-    "coupler_transfer_matrix",
-    "cross_coupling_ratio",
-    "crossed_polarizer_transmission",
-    "density_to_stokes",
-    "extinction_db",
-    "extinction_ratios",
-    "fidelity",
-    "find_axis",
-    "fit_axis",
-    "jones_to_density",
-    "linear_polarizer",
-    "linear_reconstruct",
-    "load_axis_calibration",
-    "load_device",
-    "load_measurement_csv",
-    "make_pdc_device",
-    "measure_records",
-    "mle_reconstruct",
-    "pdc_coupling_length",
-    "port_transfer_matrices",
-    "povm_effects",
-    "project_probabilities",
-    "propagate_analytic",
-    "propagate_numeric",
-    "purity",
-    "retardance_from_physics",
-    "retarder_jones",
-    "rotated_diagonal",
-    "rotation_deg",
-    "run_tomography_experiment",
-    "save_device",
-    "save_measurement_csv",
-    "simulate_axis_check",
-    "stokes_to_density",
-    "sweep_coupling_length",
-    "waveplate_settings",
-]
+# the imports above are the only list of public names
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

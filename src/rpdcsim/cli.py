@@ -26,6 +26,7 @@ from .birefringence import (
 )
 from .device import extinction_ratios, load_device, sweep_coupling_length
 from .tomography import (
+    MleDivergenceError,
     NoiseConfig,
     cardinal_density,
     load_measurement_csv,
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         args.run(cfg, args, meta, out_dir)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MleDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -130,7 +130,11 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """Reconstruction output; iterations counts multiplier steps."""
+    """Reconstruction output; iterations counts multiplier steps.
+
+    log_likelihood is -inf both for an outcome of positive weight and zero
+    probability and for a finite value below -sys.float_info.max.
+    """
 
     rho: DensityMatrix
     stokes: StokesVector
@@ -348,6 +352,8 @@ def mle_reconstruct(records) -> TomographyResult:
     safeguard) fixes the multiplier. The converged iterate, pulled into
     the ball, is the answer. `iterations` counts the root-find's steps.
     Weights near the float range are first scaled by a power of four.
+    `log_likelihood` is -inf for an outcome of positive weight and zero
+    probability, and for a finite value below -sys.float_info.max.
 
     Raises:
         ValueError: a basis has both outcome weights zero, which leaves its

@@ -264,6 +264,24 @@ class TestTomography:
             err = capsys.readouterr().err
             assert err.startswith("error: a basis") and err.count("\n") == 1
 
+    def test_records_mle_that_does_not_converge_never_exits_1(self, tmp_path,
+                                                             capsys):
+        # DA's weights become subnormal under the scale for HV's and RL's,
+        # and the multiplier search runs out of steps. A solve that fails
+        # is an input error (exit 2); one that converges writes its artifact
+        rec_csv = tmp_path / "records.csv"
+        rec_csv.write_text("basis,p0,p1\nHV,1e308,1e305\n"
+                           "DA,1e-300,1e-320\nRL,1e308,1e308\n")
+        code = main(["tomography", "--records", str(rec_csv),
+                     "--out", str(tmp_path)])
+        artifact = tmp_path / "tomography_records.json"
+        assert code in (0, 2)
+        if code == 2:
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not artifact.exists()
+        else:
+            assert json.loads(artifact.read_text())["converged"] is True
+
     def test_noise_seed_changes_output(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"device": SHIPPED_DEVICE,

@@ -544,6 +544,18 @@ class TestMleReconstruct:
                                   ref.stokes.as_tuple())).max() < 1e-15
         assert math.isfinite(res.log_likelihood)
 
+    def test_log_likelihood_below_float_range_is_minus_inf(self):
+        # the log-likelihood of these weights is finite but below
+        # -sys.float_info.max, so it reads -inf, as for an outcome of
+        # positive weight and zero probability; the state is still solved
+        res = mle_reconstruct((MeasurementRecord("HV", 1.7e308, 1.7e308),
+                               MeasurementRecord("DA", 1.7e308, 0.1e308),
+                               MeasurementRecord("RL", 1.0, 0.0)))
+        assert res.converged and res.physical
+        assert sum(v * v for v in res.stokes.as_tuple()[1:]) == (
+            pytest.approx(1.0, abs=1e-12))
+        assert res.log_likelihood == -math.inf
+
     def test_weights_the_scale_rounds_to_zero(self):
         # with HV's sum past 2**1000 the scale rounds RL's weights to 0.
         # Inside the ball x_i is each basis's own ratio, taken before the
