@@ -47,25 +47,32 @@ DEVICE_JSON_FIELDS = (
 
 @dataclass(frozen=True)
 class RpdcDevice:
-    """Rotated polarization directional coupler.
+    """Rotated polarization directional coupler: the eight device-file numbers.
 
-    alpha_deg locates the slow axis in the lab frame. coupler_slow and
-    coupler_fast share one physical length; the slow axis must couple at
-    least as strongly as the fast one. retardance_rad is the residual
-    slow-minus-fast phase of the straight section; amplitude_transmittance
-    scales output fields (power goes as its square).
+    Fields follow `DEVICE_JSON_FIELDS`; the file's `transmittance` is
+    amplitude_transmittance here. alpha_deg locates the slow axis in the
+    lab frame. Each axis is one zero-beta symmetric coupler
+    (`coupler_slow`, `coupler_fast`) of the shared length length_mm, with
+    cross-port power sin^2(k_axis Z + bend_phase_axis); the slow axis
+    couples at least as strongly as the fast one. retardance_rad is the
+    residual slow-minus-fast phase of the straight section;
+    amplitude_transmittance scales output fields (power goes as its square).
     """
 
     alpha_deg: float
-    coupler_slow: CouplerParams
-    coupler_fast: CouplerParams
+    k_slow_rad_per_mm: float
+    k_fast_rad_per_mm: float
+    length_mm: float
+    bend_phase_slow_rad: float = 0.0
+    bend_phase_fast_rad: float = 0.0
     amplitude_transmittance: float = 1.0
     retardance_rad: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha_deg)
-                and math.isfinite(self.retardance_rad)):
-            raise ValueError("device parameters must be finite")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0 <= self.alpha_deg < 180:
             raise ValueError(f"alpha_deg must be in [0, 180), got {self.alpha_deg}")
         if not 0 < self.amplitude_transmittance <= 1:
@@ -73,26 +80,26 @@ class RpdcDevice:
                              f"{self.amplitude_transmittance}")
         if self.retardance_rad < 0:
             raise ValueError(f"retardance_rad must be >= 0, got {self.retardance_rad}")
-        if self.coupler_slow.length_mm != self.coupler_fast.length_mm:
+        if self.length_mm < 0:
+            raise ValueError(f"length_mm must be >= 0, got {self.length_mm}")
+        if not self.k_slow_rad_per_mm >= self.k_fast_rad_per_mm >= 0:
             raise ValueError(
-                "one physical device: coupler lengths differ, "
-                f"{self.coupler_slow.length_mm} != {self.coupler_fast.length_mm}")
-        if self.coupler_slow.k12 < self.coupler_fast.k12:
-            raise ValueError(
-                f"slow axis must couple at least as strongly: k_slow "
-                f"{self.coupler_slow.k12} < k_fast {self.coupler_fast.k12}")
+                "need k_slow_rad_per_mm >= k_fast_rad_per_mm >= 0 (the slow "
+                "axis couples at least as strongly), got k_slow "
+                f"{self.k_slow_rad_per_mm} and k_fast {self.k_fast_rad_per_mm}")
 
     @property
-    def length_mm(self) -> float:
-        return self.coupler_slow.length_mm
+    def coupler_slow(self) -> CouplerParams:
+        return CouplerParams.symmetric(0.0, self.k_slow_rad_per_mm,
+                                       self.length_mm, self.bend_phase_slow_rad)
+
+    @property
+    def coupler_fast(self) -> CouplerParams:
+        return CouplerParams.symmetric(0.0, self.k_fast_rad_per_mm,
+                                       self.length_mm, self.bend_phase_fast_rad)
 
     def with_length(self, length_mm: float) -> "RpdcDevice":
-        return dataclasses.replace(
-            self,
-            coupler_slow=dataclasses.replace(self.coupler_slow,
-                                             length_mm=length_mm),
-            coupler_fast=dataclasses.replace(self.coupler_fast,
-                                             length_mm=length_mm))
+        return dataclasses.replace(self, length_mm=length_mm)
 
 
 def make_pdc_device(alpha_deg: float, k_slow: float, k_fast: float,
@@ -107,14 +114,9 @@ def make_pdc_device(alpha_deg: float, k_slow: float, k_fast: float,
     """
     if bend_length_mm < 0:
         raise ValueError(f"bend_length_mm must be >= 0, got {bend_length_mm}")
-    return RpdcDevice(
-        alpha_deg=alpha_deg,
-        coupler_slow=CouplerParams.symmetric(
-            0.0, k_slow, length_mm, k_slow * bend_length_mm),
-        coupler_fast=CouplerParams.symmetric(
-            0.0, k_fast, length_mm, k_fast * bend_length_mm),
-        amplitude_transmittance=amplitude_transmittance,
-        retardance_rad=retardance_rad)
+    return RpdcDevice(alpha_deg, k_slow, k_fast, length_mm,
+                      k_slow * bend_length_mm, k_fast * bend_length_mm,
+                      amplitude_transmittance, retardance_rad)
 
 
 def port_transfer_matrices(dev: RpdcDevice) -> np.ndarray:
@@ -145,20 +147,28 @@ class PortPowers:
     r_fast: float
 
 
+def _axis_powers(dev: RpdcDevice, length_mm: float) -> tuple:
+    """(sin^2 s, sin^2 f, cos^2 s, cos^2 f) of s, f = k_axis Z + bend phase.
+
+    The unit-input, loss-free port powers of each axis's coupler at length
+    Z: cross then bar, slow then fast. They are the squared moduli of the
+    entries of `coupler_transfer_matrix`, so no matrix is built.
+    """
+    s = dev.k_slow_rad_per_mm * length_mm + dev.bend_phase_slow_rad
+    f = dev.k_fast_rad_per_mm * length_mm + dev.bend_phase_fast_rad
+    return (math.sin(s) ** 2, math.sin(f) ** 2,
+            math.cos(s) ** 2, math.cos(f) ** 2)
+
+
 def axis_port_powers(dev: RpdcDevice) -> PortPowers:
     """Feed unit power along each device axis, read both output ports.
 
     Both ports are diagonal over (slow, fast) in the device frame, so an
     axis-aligned input leaves each port with t^2 times the squared modulus
-    of that axis's coupler entry: cross for port T, bar for port R.
+    of that axis's coupler entry: sin^2 for port T, cos^2 for port R.
     """
     t2 = dev.amplitude_transmittance ** 2
-    m_slow = coupler_transfer_matrix(dev.coupler_slow)
-    m_fast = coupler_transfer_matrix(dev.coupler_fast)
-    return PortPowers(t_slow=t2 * abs(complex(m_slow[1, 0])) ** 2,
-                      t_fast=t2 * abs(complex(m_fast[1, 0])) ** 2,
-                      r_slow=t2 * abs(complex(m_slow[0, 0])) ** 2,
-                      r_fast=t2 * abs(complex(m_fast[0, 0])) ** 2)
+    return PortPowers(*(t2 * p for p in _axis_powers(dev, dev.length_mm)))
 
 
 def extinction_db(p_num: float, p_den: float) -> float:
@@ -267,54 +277,26 @@ def sweep_coupling_length(dev: RpdcDevice, lengths_mm) -> list:
     normalized to unit input with the transmittance divided out, so the
     cross-port traces are sin^2(K Z + phi) per axis.
     """
-    t2 = dev.amplitude_transmittance ** 2
     points = []
     for z in lengths_mm:
-        if z < 0:
-            raise ValueError(f"lengths must be >= 0, got {z}")
-        p = axis_port_powers(dev.with_length(float(z)))
-        points.append(SweepPoint(length_mm=float(z),
-                                 p_t_slow=p.t_slow / t2,
-                                 p_t_fast=p.t_fast / t2,
-                                 p_r_slow=p.r_slow / t2,
-                                 p_r_fast=p.r_fast / t2))
+        z = float(z)
+        if not 0 <= z < math.inf:
+            raise ValueError(f"lengths must be finite and >= 0, got {z}")
+        points.append(SweepPoint(z, *_axis_powers(dev, z)))
     return points
 
 
 def device_to_dict(dev: RpdcDevice) -> dict:
-    """JSON-ready description; couplers must be the zero-beta standard kind."""
-    for c in (dev.coupler_slow, dev.coupler_fast):
-        if c.beta1 != 0.0 or c.beta2 != 0.0:
-            raise ValueError("device files describe zero-beta couplers; "
-                             "fold per-axis phase into retardance_rad")
-    return {
-        "alpha_deg": dev.alpha_deg,
-        "k_slow_rad_per_mm": dev.coupler_slow.k12,
-        "k_fast_rad_per_mm": dev.coupler_fast.k12,
-        "length_mm": dev.length_mm,
-        "bend_phase_slow_rad": dev.coupler_slow.bend_phase_rad,
-        "bend_phase_fast_rad": dev.coupler_fast.bend_phase_rad,
-        "transmittance": dev.amplitude_transmittance,
-        "retardance_rad": dev.retardance_rad,
-    }
+    """JSON-ready description: the fields under their `DEVICE_JSON_FIELDS` keys."""
+    return dict(zip(DEVICE_JSON_FIELDS, dataclasses.astuple(dev)))
 
 
 def device_from_dict(data: dict) -> RpdcDevice:
     """Validate a parsed device description; all 8 fields, nothing else."""
     check_fields(data, "device description", DEVICE_JSON_FIELDS,
                  DEVICE_JSON_FIELDS)
-    vals = {f: read_number(data[f], f"device field {f}")
-            for f in DEVICE_JSON_FIELDS}
-    return RpdcDevice(
-        alpha_deg=vals["alpha_deg"],
-        coupler_slow=CouplerParams.symmetric(0.0, vals["k_slow_rad_per_mm"],
-                                             vals["length_mm"],
-                                             vals["bend_phase_slow_rad"]),
-        coupler_fast=CouplerParams.symmetric(0.0, vals["k_fast_rad_per_mm"],
-                                             vals["length_mm"],
-                                             vals["bend_phase_fast_rad"]),
-        amplitude_transmittance=vals["transmittance"],
-        retardance_rad=vals["retardance_rad"])
+    return RpdcDevice(*(read_number(data[f], f"device field {f}")
+                        for f in DEVICE_JSON_FIELDS))
 
 
 def load_device(path) -> RpdcDevice:

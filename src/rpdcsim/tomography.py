@@ -388,15 +388,18 @@ def mle_reconstruct(records) -> TomographyResult:
         raise ValueError("a basis's outcome weights are lost in the scale for "
                          "another's, more than the float range apart")
 
-    # phi(lam) = sum x_i(lam)^2 - 1 is bracketed by [lo, hi]: phi(0) > 0,
-    # and |x_i(lam)| < (a_i + b_i)/(2 lam) makes phi(hi) < 0
-    lam, lo, hi = 0.0, 0.0, 0.5 * math.hypot(*(a + b for a, b in pairs))
-    last = math.inf  # |phi| before the latest step
+    # phi(lam) = sum x_i(lam)^2 - 1 is bracketed by [lo, hi]. phi falls by at
+    # most 16 r2 / min_i(a_i + b_i) per unit lam, from phi(0) = r2 - 1, so
+    # it is still positive below lo; |x_i(lam)| < (a_i + b_i)/(2 lam) makes
+    # phi(hi) < 0. Both ends scale with the weights, as the scale needs
+    lo = max((r2 - 1.0) / r2 * min(a + b for a, b in pairs) / 16.0, 5e-324)
+    lam, hi = 0.0, 0.5 * math.hypot(*(a + b for a, b in pairs))
+    last = math.inf  # length of the latest step
     steps = 0
     while abs(r2 - 1.0) > _FATOL and steps < _MAX_STEPS:
         steps += 1
         if r2 > 1.0:
-            lo = lam
+            lo = max(lo, lam)
         else:
             hi = lam
         # dphi/dlam = -sum 4 x_i^2 / (a_i/(1+x_i)^2 + b_i/(1-x_i)^2 + 2 lam);
@@ -406,12 +409,13 @@ def mle_reconstruct(records) -> TomographyResult:
                                     + 2.0 * lam)
                      for (a, b), v in zip(pairs, x) if -1.0 < v < 1.0)
         nxt = lam - (r2 - 1.0) / slope if slope < 0.0 else math.nan
-        if not (lo < nxt < hi and abs(r2 - 1.0) <= 0.5 * last):
-            # bisect when Newton leaves the bracket or stalls, on a log
-            # scale: when one basis carries far less weight than the others
-            # the root can lie hundreds of decades below hi
-            nxt = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else hi / 1024.0
-        last = abs(r2 - 1.0)
+        if not (lo < nxt < hi and abs(nxt - lam) <= 0.5 * last):
+            # bisect, on a log scale, when Newton leaves the bracket or its
+            # step is over half the last one, as in rtsafe (Press et al.,
+            # Numerical Recipes, sec. 9.4): where a small axis's x_i ~ 1/lam
+            # sets the slope, Newton only creeps up by lam/2 a step
+            nxt = math.sqrt(lo) * math.sqrt(hi)
+        last = abs(nxt - lam)
         lam = nxt
         x = [_axis_root(a, b, lam, v) for (a, b), v in zip(pairs, x)]
         r2 = sum(v * v for v in x)

@@ -700,6 +700,23 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err, err
 
+    @pytest.mark.parametrize("k_slow, k_fast", [(0.16, -0.1), (0.1, 0.16)])
+    def test_bad_coupling_constants_exit_2(self, tmp_path, capsys, k_slow,
+                                           k_fast):
+        # a negative k_fast once failed only on first use, with an error
+        # that named neither the file nor the field
+        fields = dict(json.loads(Path(SHIPPED_DEVICE).read_text()),
+                      k_slow_rad_per_mm=k_slow, k_fast_rad_per_mm=k_fast)
+        bad = tmp_path / "bad_k.json"
+        bad.write_text(json.dumps(fields))
+        for command in (["extinction"], ["coupler-sweep", "--lengths", "1"],
+                        ["tomography"]):
+            assert main(command + ["--device", str(bad), "--out",
+                                   str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "bad_k.json" in err, err
+            assert f"k_slow {k_slow}" in err and f"k_fast {k_fast}" in err
+
     def test_records_not_utf8(self, tmp_path, capsys):
         rec_csv = tmp_path / "records.csv"
         rec_csv.write_bytes(b"basis,p0,p1\nHV,\xff,0\n")

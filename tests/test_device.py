@@ -1,7 +1,9 @@
 """Composed RPDC behavior: routing, extinction, axis checks, sweeps, files."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from rpdcsim.device import (
     sweep_coupling_length,
 )
 from rpdcsim.polarization import JonesVector, cardinal_state, rotation_deg
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def ideal_device(alpha=45.0, retardance=math.pi, t=1.0):
@@ -52,17 +56,32 @@ def random_device(rng):
 
 
 class TestConstruction:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            RpdcDevice(0.0,
-                       CouplerParams.symmetric(0.0, 0.2, 23.0),
-                       CouplerParams.symmetric(0.0, 0.1, 22.0))
+    def test_one_length(self):
+        # one physical device: both couplers read its single length, also
+        # after with_length, which checks the new length
+        dev = make_pdc_device(45.0, 0.2, 0.1, 23.0, 5.5)
+        for d, z in ((dev, 23.0), (dev.with_length(17.0), 17.0)):
+            assert d.length_mm == z
+            assert d.coupler_slow.length_mm == d.coupler_fast.length_mm == z
+        with pytest.raises(ValueError, match="length_mm"):
+            dev.with_length(-1.0)
 
     def test_coupling_ordering(self):
         with pytest.raises(ValueError, match="slow"):
-            RpdcDevice(0.0,
-                       CouplerParams.symmetric(0.0, 0.1, 23.0),
-                       CouplerParams.symmetric(0.0, 0.2, 23.0))
+            RpdcDevice(0.0, 0.1, 0.2, 23.0)
+
+    @pytest.mark.parametrize("k_slow, k_fast", [(0.2, -0.1), (-0.1, -0.2)])
+    def test_negative_coupling_rejected(self, k_slow, k_fast):
+        with pytest.raises(ValueError, match="k_fast_rad_per_mm >= 0"):
+            RpdcDevice(0.0, k_slow, k_fast, 23.0)
+
+    @pytest.mark.parametrize("field", [f.name for f in
+                                       dataclasses.fields(RpdcDevice)])
+    def test_non_finite_field_rejected(self, field):
+        good = make_pdc_device(45.0, 0.2, 0.1, 23.0, 5.5, 0.9, 2.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                dataclasses.replace(good, **{field: bad})
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
@@ -95,8 +114,7 @@ class TestTransfer:
 
     def test_degenerate_coupler_polarization_insensitive(self):
         k = 0.15
-        dev = RpdcDevice(0.0, CouplerParams.symmetric(0.0, k, 10.0),
-                         CouplerParams.symmetric(0.0, k, 10.0))
+        dev = RpdcDevice(0.0, k, k, 10.0)
         want_t = math.sin(k * 10.0) ** 2
         for label in ("H", "V", "D", "R"):
             out_t, out_r = port_fields(dev, cardinal_state(label))
@@ -285,6 +303,29 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_coupling_length(ideal_device(), [-1.0])
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_bad_length_rejected(self, z):
+        with pytest.raises(ValueError, match="lengths"):
+            sweep_coupling_length(ideal_device(), [1.0, z])
+
+    def test_matches_full_jones_model(self):
+        # oracle: the port matrices of the device rebuilt at each length,
+        # fed unit slow- and fast-axis inputs, with the loss divided out
+        rng = np.random.default_rng(44)
+        worst = 0.0
+        for _ in range(300):
+            dev = random_device(rng)
+            a = math.radians(dev.alpha_deg)
+            axes = (np.array([math.cos(a), math.sin(a)]),
+                    np.array([-math.sin(a), math.cos(a)]))
+            t2 = dev.amplitude_transmittance ** 2
+            for pt in sweep_coupling_length(dev, rng.uniform(0, 40, size=3)):
+                ports = port_transfer_matrices(dev.with_length(pt.length_mm))
+                want = [power(j @ v) / t2 for j in ports for v in axes]
+                got = [pt.p_t_slow, pt.p_t_fast, pt.p_r_slow, pt.p_r_fast]
+                worst = max(worst, np.abs(np.subtract(got, want)).max())
+        assert worst < 1e-14
+
 
 class TestDeviceFiles:
     def test_round_trip(self, tmp_path):
@@ -292,6 +333,21 @@ class TestDeviceFiles:
         p = tmp_path / "dev.json"
         save_device(dev, p)
         assert load_device(p) == dev
+
+    def test_each_key_lands_on_its_field(self):
+        # a round trip cannot catch two fields read in swapped order
+        for path in sorted(DATA.glob("device_*.json")):
+            data = json.loads(path.read_text())
+            dev = load_device(path)
+            for key, value in data.items():
+                field = ("amplitude_transmittance" if key == "transmittance"
+                         else key)
+                assert getattr(dev, field) == value, (path.name, key)
+            for c, axis in ((dev.coupler_slow, "slow"),
+                            (dev.coupler_fast, "fast")):
+                assert c.k12 == data[f"k_{axis}_rad_per_mm"]
+                assert c.bend_phase_rad == data[f"bend_phase_{axis}_rad"]
+                assert c.length_mm == data["length_mm"]
 
     def test_shipped_files_load(self):
         for name in ("data/device_45deg.json", "data/device_45deg_ideal.json",
@@ -341,8 +397,15 @@ class TestDeviceFiles:
         with pytest.raises(ValueError, match="object"):
             load_device(p)
 
-    def test_nonzero_beta_not_serializable(self):
-        dev = RpdcDevice(0.0, CouplerParams.symmetric(1.0, 0.2, 23.0),
-                         CouplerParams.symmetric(1.0, 0.1, 23.0))
-        with pytest.raises(ValueError, match="beta"):
-            device_to_dict(dev)
+    def test_couplers_are_zero_beta(self):
+        # a device holds the file's eight numbers and nothing else, so its
+        # couplers are always the zero-beta symmetric kind a file describes
+        names = [f.name for f in dataclasses.fields(RpdcDevice)]
+        assert len(names) == 8 and not any("beta" in n for n in names)
+        dev = make_pdc_device(30.0, 0.21, 0.11, 23.0, 5.5, 0.77, 3.1)
+        assert dev.coupler_slow == CouplerParams.symmetric(
+            0.0, 0.21, 23.0, dev.bend_phase_slow_rad)
+        assert dev.coupler_fast == CouplerParams.symmetric(
+            0.0, 0.11, 23.0, dev.bend_phase_fast_rad)
+        assert list(device_to_dict(dev).values()) == [
+            getattr(dev, n) for n in names]

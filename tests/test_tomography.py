@@ -592,6 +592,34 @@ class TestMleReconstruct:
             steps.append(a.iterations)
         assert 0 in steps and max(steps) > 0
 
+    @pytest.mark.parametrize("scale", [1e300, 1e200, 1e3])
+    def test_weights_far_apart_take_few_steps(self, scale):
+        # DA carries far less weight than HV and RL, so the multiplier's
+        # root sits hundreds of decades below the bracket's upper end; the
+        # lower end, from the bound on the slope, keeps the search short
+        pairs = ((1e-300, 1e-320), (scale, scale), (scale, scale * 1e-3))
+        res = mle_reconstruct(tuple(
+            MeasurementRecord(b, *w) for b, w in zip(("DA", "RL", "HV"), pairs)))
+        assert res.converged and res.iterations <= 30
+        got = np.array(res.stokes.as_tuple()[1:])
+        assert np.abs(got - bisection_mle(pairs)).max() < 1e-12
+
+    def test_small_axes_not_left_at_the_tolerance(self):
+        # HV's weights are 180 decades above the others, so s3 rounds to -1
+        # and |sum x_i^2 - 1| <= 1e-12 holds once s1 and s2 fall below 1e-6.
+        # Newton creeping up the multiplier from below stopped there; the
+        # exact MLE has them far below rounding
+        res = mle_reconstruct((
+            MeasurementRecord("HV", 6.027377866964878e-186,
+                              2.2237003436011214e+218),
+            MeasurementRecord("DA", 5.124219047716273e-142, 1.3513e-320),
+            MeasurementRecord("RL", 1.7313101060374698e+38,
+                              1.4832419462583852e-141)))
+        s = res.stokes
+        assert res.converged and res.physical
+        assert s.s3 == pytest.approx(-1.0, abs=1e-15)
+        assert abs(s.s1) < 1e-15 and abs(s.s2) < 1e-15
+
     def test_zero_weight_basis_rejected(self):
         recs = (MeasurementRecord("HV", 0.6, 0.4, counts=(60, 40)),
                 MeasurementRecord("DA", 0.5, 0.5, counts=(0, 0)),
