@@ -14,8 +14,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 from ._files import check_fields, read_json, read_number
 from .birefringence import (
@@ -41,19 +41,6 @@ RANGE_FIELDS = ("start", "stop", "step")
 TOMOGRAPHY_STATES = ("H", "V", "D", "A", "R", "L")
 
 MAX_RANGE_POINTS = 10 ** 6
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved run settings after config file and flag overrides."""
-
-    device: str
-    calibration: str
-    lengths_mm: tuple
-    thetas_deg: tuple
-    counts_per_basis: float
-    out_dir: str
-    seed: int
 
 
 def _expand_range(value, name):
@@ -142,10 +129,10 @@ def _read_noise(value, name) -> float:
     return counts
 
 
-# config key: (ExperimentConfig field, the attribute of the flag that
-# overrides it, the parser of the flag's text if it needs one, default,
-# reader). The config value and the flag go through the same reader, so a
-# config value is checked even when a flag wins
+# config key: (resolved setting, the attribute of the flag that overrides
+# it, the parser of the flag's text if it needs one, default, reader). The
+# config value and the flag go through the same reader, so a config value
+# is checked even when a flag wins
 SETTINGS = {
     "device": ("device", "device", None, None, _read_path),
     "calibration": ("calibration", "calibration", None, None, _read_path),
@@ -159,7 +146,8 @@ SETTINGS = {
 }
 
 
-def _resolve_config(args) -> ExperimentConfig:
+def _resolve_config(args) -> SimpleNamespace:
+    """The run settings, one per SETTINGS row, after flag overrides."""
     raw = {} if args.config is None else check_fields(
         read_json(args.config), f"{args.config}: config", SETTINGS)
     values = {}
@@ -172,10 +160,10 @@ def _resolve_config(args) -> ExperimentConfig:
         given = getattr(args, flag, None) if flag else None
         if given is not None:
             values[field] = read(parse(given, key) if parse else given, key)
-    return ExperimentConfig(**values)
+    return SimpleNamespace(**values)
 
 
-def _config_digest(cfg: ExperimentConfig, args) -> str:
+def _config_digest(cfg, args) -> str:
     # out_dir is deliberately not hashed: the same run written elsewhere
     # should produce byte-identical artifacts. The one data file the
     # subcommand reads is hashed by its bytes
@@ -184,7 +172,6 @@ def _config_digest(cfg: ExperimentConfig, args) -> str:
             "tomography": records or cfg.device}.get(args.command, cfg.device)
     inputs = {} if read is None else {
         read: hashlib.sha256(Path(read).read_bytes()).hexdigest()}
-    # vars, not dataclasses.asdict, which copies a range point by point
     canonical = dict(vars(cfg), records=records, inputs=inputs,
                      find_axis=[getattr(args, f, None) for f in
                                 ("alpha", "retardance", "transmittance")])
@@ -219,8 +206,7 @@ def _require(value, flag, subcommand):
     return value
 
 
-def cmd_axis_cal(cfg: ExperimentConfig, args, meta: dict,
-                 out_dir: Path) -> None:
+def cmd_axis_cal(cfg, args, meta: dict, out_dir: Path) -> None:
     cal_path = _require(cfg.calibration, "--calibration", "axis-cal")
     thetas = _require(cfg.thetas_deg, "--thetas", "axis-cal")
     cal = load_axis_calibration(cal_path)
@@ -231,8 +217,7 @@ def cmd_axis_cal(cfg: ExperimentConfig, args, meta: dict,
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def cmd_coupler_sweep(cfg: ExperimentConfig, args, meta: dict,
-                      out_dir: Path) -> None:
+def cmd_coupler_sweep(cfg, args, meta: dict, out_dir: Path) -> None:
     device_path = _require(cfg.device, "--device", "coupler-sweep")
     lengths = _require(cfg.lengths_mm, "--lengths", "coupler-sweep")
     device = load_device(device_path)
@@ -244,8 +229,7 @@ def cmd_coupler_sweep(cfg: ExperimentConfig, args, meta: dict,
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def cmd_extinction(cfg: ExperimentConfig, args, meta: dict,
-                   out_dir: Path) -> None:
+def cmd_extinction(cfg, args, meta: dict, out_dir: Path) -> None:
     device_path = _require(cfg.device, "--device", "extinction")
     er_t, er_r = extinction_ratios(load_device(device_path))
     payload = {"er_t_db": round(er_t, 2), "er_r_db": round(er_r, 2)}
@@ -255,8 +239,7 @@ def cmd_extinction(cfg: ExperimentConfig, args, meta: dict,
           f"ER_R {payload['er_r_db']:.2f} dB)")
 
 
-def cmd_tomography(cfg: ExperimentConfig, args, meta: dict,
-                   out_dir: Path) -> None:
+def cmd_tomography(cfg, args, meta: dict, out_dir: Path) -> None:
     if args.records is not None:
         records = load_measurement_csv(args.records)
         result = mle_reconstruct(records)
@@ -283,8 +266,7 @@ def cmd_tomography(cfg: ExperimentConfig, args, meta: dict,
     print(f"wrote {path} and per-state JSON ({len(fid_rows)} states)")
 
 
-def cmd_find_axis(cfg: ExperimentConfig, args, meta: dict,
-                  out_dir: Path) -> None:
+def cmd_find_axis(cfg, args, meta: dict, out_dir: Path) -> None:
     retarder = RotatedRetarder(args.alpha, args.retardance,
                                args.transmittance)
     recovered = find_axis(retarder)

@@ -64,11 +64,6 @@ _AXIS_STEPS = 100
 _XATOL = 1e-10
 _FATOL = 1e-12
 _MAX_STEPS = 800
-# a basis sum past _WEIGHT_CAP would overflow the multiplier's bracket and
-# the cubic of `_axis_root`: all six weights are then scaled by _WEIGHT_SCALE,
-# a power of four, which scales every iterate of the multiplier exactly
-_WEIGHT_CAP = 2.0 ** 1000
-_WEIGHT_SCALE = 4.0 ** -32
 
 
 class MleDivergenceError(RuntimeError):
@@ -248,10 +243,20 @@ def _bloch_weights(by_basis: dict) -> tuple:
 def _frequency_log_likelihood(pairs) -> float:
     """Log-likelihood at the per-basis frequencies a/(a+b), b/(a+b).
 
-    Unlike 1 -+ x_i, these keep an outcome whose frequency is below rounding.
+    Unlike 1 -+ x_i, these keep an outcome whose frequency is below rounding,
+    and one below the float range as log w - log(a + b). A basis sum past the
+    float range is taken in quarters.
     """
-    return sum(w * math.log(w / (a + b)) for a, b in pairs for w in (a, b)
-               if w > 0.0)
+    ll = 0.0
+    for a, b in pairs:
+        q = 1.0 if a + b < math.inf else 0.25
+        n = q * a + q * b
+        for w in (a, b):
+            if w > 0.0:
+                f = q * w / n
+                ll += w * (math.log(f) if f > 0.0 else
+                           math.log(w) - math.log(n))
+    return ll
 
 
 def _log_likelihood(pairs, x) -> float:
@@ -351,7 +356,9 @@ def mle_reconstruct(records) -> TomographyResult:
     lambda > 0, so one scalar root-find (Newton on lambda with a bisection
     safeguard) fixes the multiplier. The converged iterate, pulled into
     the ball, is the answer. `iterations` counts the root-find's steps.
-    Weights near the float range are first scaled by a power of four.
+    The boundary case first scales all six weights by the power of four
+    that centres their magnitudes on 1, as far as the float range allows;
+    this moves every iterate exactly, so the state does not depend on it.
     `log_likelihood` is -inf for an outcome of positive weight and zero
     probability, and for a finite value below -sys.float_info.max.
 
@@ -364,27 +371,26 @@ def mle_reconstruct(records) -> TomographyResult:
             (converged=False).
     """
     pairs = _bloch_weights(_records_by_basis(records))
-    scale = 1.0
     for basis, (a, b) in zip(BLOCH_AXES, pairs):
-        if not 0.0 < a + b <= _WEIGHT_CAP:
-            if a + b <= 0.0:
-                raise ValueError(f"basis {basis}: both outcome weights are "
-                                 f"zero, so its Bloch component is "
-                                 f"unidentified")
-            scale = _WEIGHT_SCALE
-    # (a - b)/(a + b) is scale-free: the weights before the scale, which can
-    # round a tiny one to 0, give it, except where their sum overflows
+        if a + b <= 0.0:
+            raise ValueError(f"basis {basis}: both outcome weights are "
+                             f"zero, so its Bloch component is unidentified")
+    # a basis sum past the float range is taken in quarters
     x = [(a - b) / (a + b) if a + b < math.inf else
-         (a * scale - b * scale) / (a * scale + b * scale) for a, b in pairs]
-    if scale != 1.0:
-        pairs = tuple((a * scale, b * scale) for a, b in pairs)
+         (0.25 * a - 0.25 * b) / (0.25 * a + 0.25 * b) for a, b in pairs]
     r2 = sum(v * v for v in x)
     if r2 <= 1.0:
         # interior: the per-basis frequencies are the MLE
-        return _mle_result(x, _frequency_log_likelihood(pairs) / scale, 0,
-                           True)
+        return _mle_result(x, _frequency_log_likelihood(pairs), 0, True)
 
-    if scale != 1.0 and min(a + b for a, b in pairs) <= 0.0:
+    # scale by the 4^k that centres the binary exponents of each basis's
+    # larger weight on 2^0, with no basis sum past 2^1000 (which would
+    # overflow the bracket below and the cubic of `_axis_root`) and 4^k
+    # finite. A power of four scales every iterate exactly
+    e_min, _, e_max = sorted(math.frexp(max(a, b))[1] for a, b in pairs)
+    scale = 4.0 ** min(-(e_max + e_min) // 4, (999 - e_max) // 2, 511)
+    pairs = [(a * scale, b * scale) for a, b in pairs]
+    if not all(a + b > 0.0 for a, b in pairs):
         raise ValueError("a basis's outcome weights are lost in the scale for "
                          "another's, more than the float range apart")
 

@@ -17,10 +17,13 @@ from rpdcsim.cli import _expand_range, main
 from rpdcsim.device import extinction_ratios, load_device, make_pdc_device
 from rpdcsim.tomography import (
     cardinal_density,
+    load_measurement_csv,
     measure_records,
     mle_reconstruct,
     save_measurement_csv,
 )
+
+from test_tomography import bisection_mle
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SHIPPED_DEVICE = str(DATA / "device_45deg.json")
@@ -246,10 +249,12 @@ class TestTomography:
         assert "non-negative integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows, code", [
-        # the scale for HV's huge weights rounds RL's to 0: inside the
-        # Bloch ball RL's own ratio stands, on the sphere it is lost
+        # inside the Bloch ball RL's own ratio stands. On the sphere the
+        # scale for HV's and DA's huge weights leaves RL's of 1e-310
+        # subnormal, and the state is solved; it rounds 1e-320 to 0
         ("HV,1e305,1e305\nDA,1,1\nRL,1e-310,0\n", 0),
-        ("HV,1e305,1\nDA,1e305,1\nRL,1e-310,3e-310\n", 2),
+        ("HV,1e305,1\nDA,1e305,1\nRL,1e-310,3e-310\n", 0),
+        ("HV,1e305,1\nDA,1e305,1\nRL,1e-320,3e-320\n", 2),
     ])
     def test_records_weights_far_apart(self, tmp_path, capsys, rows, code):
         rec_csv = tmp_path / "records.csv"
@@ -259,28 +264,44 @@ class TestTomography:
         if code == 0:
             payload = json.loads(
                 (tmp_path / "tomography_records.json").read_text())
-            assert payload["stokes"] == [1.0, 0.0, 1.0, 0.0]
+            assert payload["converged"] is True
+            if "1e305,1e305" in rows:
+                assert payload["stokes"] == [1.0, 0.0, 1.0, 0.0]
+            else:
+                want = bisection_mle(((1e305, 1.0), (1e-310, 3e-310),
+                                      (1e305, 1.0)))
+                assert np.abs(np.subtract(payload["stokes"][1:],
+                                          want)).max() < 1e-12
         else:
             err = capsys.readouterr().err
             assert err.startswith("error: a basis") and err.count("\n") == 1
+            assert "lost in the scale" in err
 
     def test_records_mle_that_does_not_converge_never_exits_1(self, tmp_path,
                                                              capsys):
-        # DA's weights become subnormal under the scale for HV's and RL's,
-        # and the multiplier search runs out of steps. A solve that fails
-        # is an input error (exit 2); one that converges writes its artifact
+        # these rows once ran the multiplier search out of steps (exit 1,
+        # later exit 2): a scale worked out from the weights solves them
         rec_csv = tmp_path / "records.csv"
         rec_csv.write_text("basis,p0,p1\nHV,1e308,1e305\n"
                            "DA,1e-300,1e-320\nRL,1e308,1e308\n")
-        code = main(["tomography", "--records", str(rec_csv),
-                     "--out", str(tmp_path)])
+        assert main(["tomography", "--records", str(rec_csv),
+                     "--out", str(tmp_path)]) == 0
         artifact = tmp_path / "tomography_records.json"
-        assert code in (0, 2)
-        if code == 2:
-            assert capsys.readouterr().err.startswith("error: ")
-            assert not artifact.exists()
-        else:
-            assert json.loads(artifact.read_text())["converged"] is True
+        assert json.loads(artifact.read_text())["converged"] is True
+
+    def test_records_frequency_below_float_range(self, tmp_path):
+        # HV's frequency 1e-30/1e300 underflows to 0; its log once raised
+        # "math domain error" (exit 2). The MLE is the interior state
+        rec_csv = tmp_path / "records.csv"
+        rec_csv.write_text("basis,p0,p1\nHV,1e300,1e-30\nDA,1,1\nRL,1,1\n")
+        assert main(["tomography", "--records", str(rec_csv),
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads(
+            (tmp_path / "tomography_records.json").read_text())
+        assert payload["stokes"] == [1.0, 0.0, 0.0, 1.0]
+        assert payload["converged"] is True
+        assert math.isfinite(mle_reconstruct(
+            load_measurement_csv(rec_csv)).log_likelihood)
 
     def test_noise_seed_changes_output(self, tmp_path):
         cfg = tmp_path / "cfg.json"

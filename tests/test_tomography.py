@@ -1,6 +1,7 @@
 """State reconstruction: projection model, linear inversion, MLE, file I/O."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,14 @@ def bisection_mle(pairs):
     lam = _bisect(shortfall, 0.0,
                   0.5 * math.hypot(*(a + b for a, b in pairs)))
     return np.array([axis(a, b, lam) for a, b in pairs])
+
+
+def meets_kkt(pairs, x) -> bool:
+    """-grad NLL(x) = 2 lambda x with lambda > 0, for x on the sphere."""
+    grad = np.array([-a / (1 + v) + b / (1 - v) for (a, b), v in zip(pairs, x)])
+    two_lam = -(grad @ x)
+    return bool(two_lam > 0.0 and
+                np.abs(grad + two_lam * x).max() < 1e-6 * np.abs(grad).max())
 
 
 def reference_nll(records, s1, s2, s3):
@@ -446,12 +455,45 @@ class TestMleReconstruct:
             assert res.converged and res.iterations > 0
             x = np.array(res.stokes.as_tuple()[1:])
             assert abs(x @ x - 1.0) < 1e-9
-            grad = np.array([-a / (1 + v) + b / (1 - v)
-                             for (a, b), v in zip(pairs, x)])
-            two_lam = -(grad @ x)
-            assert two_lam > 0.0
-            assert np.abs(grad + two_lam * x).max() < 1e-6 * np.abs(grad).max()
+            assert meets_kkt(pairs, x)
             solved += 1
+
+    def test_fuzz_over_the_float_range(self):
+        # the rows at the float range, then 2,500 sets of counts from 0 to
+        # 399 and 2,500 of powers log-uniform over [1e-320, 1.7e308] with
+        # 10 % exact zeros. Each set converges into the ball, onto the
+        # sphere when it takes steps, or raises a ValueError that names a
+        # basis or the scale; never MleDivergenceError
+        rng = np.random.default_rng(59)
+        sets = [(("HV", 1e308, 1e305), ("DA", 1e-300, 1e-320),
+                 ("RL", 1e308, 1e308))]
+        powers = np.exp(rng.uniform(math.log(1e-320), math.log(1.7e308),
+                                    size=(2500, 3, 2)))
+        zero = rng.random(size=powers.shape) < 0.1
+        zero[..., 1] &= ~zero[..., 0]  # a record needs p0 + p1 > 0
+        powers[zero] = 0.0
+        for pw in powers.tolist():
+            sets.append(tuple((b, *p) for b, p in zip(BASES, pw)))
+        # the weights of a record with counts are the counts
+        for counts in rng.integers(0, 400, size=(2500, 3, 2)).tolist():
+            sets.append(tuple((b, 0.5, 0.5, tuple(c))
+                              for b, c in zip(BASES, counts)))
+        for rows in sets:
+            recs = tuple(MeasurementRecord(*row) for row in rows)
+            try:
+                res = mle_reconstruct(recs)
+            except ValueError as exc:
+                assert re.match(r"basis (HV|DA|RL):|.* lost in the scale",
+                                str(exc))
+                continue
+            x = np.array(res.stokes.as_tuple()[1:])
+            assert res.converged and res.physical
+            assert x @ x <= 1.0 + 1e-9
+            if res.iterations:
+                assert abs(x @ x - 1.0) < 1e-9
+                if recs[0].counts is not None:
+                    by = {r.basis: r.weights for r in recs}
+                    assert meets_kkt((by["DA"], by["RL"], by["HV"]), x)
 
     def test_boundary_extreme_weights_converge(self):
         # one-sided counts and weights hundreds of decades apart put the
@@ -557,9 +599,10 @@ class TestMleReconstruct:
         assert res.log_likelihood == -math.inf
 
     def test_weights_the_scale_rounds_to_zero(self):
-        # with HV's sum past 2**1000 the scale rounds RL's weights to 0.
-        # Inside the ball x_i is each basis's own ratio, taken before the
-        # scale; on the sphere RL's x_i would need the lost weights
+        # inside the ball x_i is each basis's own ratio and takes no scale.
+        # On the sphere the scale that keeps HV's and DA's sums below
+        # 2**1000 leaves RL's weights of 1e-310 subnormal, and the state is
+        # solved; it rounds weights of 1e-320 to 0, and RL's x_i is lost
         def solve(rl):
             return mle_reconstruct((MeasurementRecord("HV", 1e305, 1e305),
                                     MeasurementRecord("DA", 1.0, 1.0),
@@ -567,16 +610,48 @@ class TestMleReconstruct:
         assert solve((1e-310, 0.0)).stokes.as_tuple() == (1.0, 0.0, 1.0, 0.0)
         assert solve((1e-310, 3e-310)).stokes.as_tuple() == (
             1.0, 0.0, -0.5, 0.0)
+        pairs = ((1e305, 1.0), (1e-310, 3e-310), (1e305, 1.0))
+        res = mle_reconstruct(tuple(
+            MeasurementRecord(b, *w) for b, w in zip(("DA", "RL", "HV"), pairs)))
+        assert res.converged
+        got = np.array(res.stokes.as_tuple()[1:])
+        assert np.abs(got - bisection_mle(pairs)).max() < 1e-12
         with pytest.raises(ValueError, match="outcome weights are lost "
                                              "in the scale"):
             mle_reconstruct((MeasurementRecord("HV", 1e305, 1.0),
                              MeasurementRecord("DA", 1e305, 1.0),
-                             MeasurementRecord("RL", 1e-310, 3e-310)))
+                             MeasurementRecord("RL", 1e-320, 3e-320)))
+
+    def test_weights_at_the_float_range_converge(self):
+        # HV's and RL's weights near 1e308 once scaled DA's into subnormals,
+        # and the multiplier with them, until the step cap. The same rows
+        # 1e8 times lighter in HV and RL give the same state
+        def solve(big):
+            return mle_reconstruct((
+                MeasurementRecord("HV", big, big * 1e-3),
+                MeasurementRecord("DA", 1e-300, 1e-320),
+                MeasurementRecord("RL", big, big)))
+        res, ref = solve(1e308), solve(1e300)
+        assert res.converged and res.physical and res.iterations <= 30
+        assert np.abs(np.subtract(res.stokes.as_tuple(),
+                                  ref.stokes.as_tuple())).max() < 1e-12
+
+    def test_frequency_below_float_range(self):
+        # HV's frequency 1e-30/1e300 underflows to 0; its log is taken as
+        # log 1e-30 - log 1e300, and the MLE is the interior state (0, 0, 1)
+        recs = (MeasurementRecord("HV", 1e300, 1e-30),
+                MeasurementRecord("DA", 1.0, 1.0),
+                MeasurementRecord("RL", 1.0, 1.0))
+        want = 1e-30 * (math.log(1e-30) - math.log(1e300)) - 4 * math.log(2)
+        res = mle_reconstruct(recs)
+        assert res.stokes.as_tuple() == (1.0, 0.0, 0.0, 1.0)
+        for ll in (res.log_likelihood, linear_reconstruct(recs).log_likelihood):
+            assert ll == pytest.approx(want, rel=1e-15)
 
     def test_weights_scaled_by_a_power_of_four_solve_alike(self):
-        # weights whose basis sum passes 2**1000 are scaled down inside the
-        # solver: the state and step count equal those of weights 4**500
-        # times smaller, and the log-likelihood is 4**500 times theirs
+        # a boundary solve scales its weights by a power of four: the state
+        # and step count equal those of weights 4**500 times smaller, and the
+        # log-likelihood is 4**500 times theirs
         rng = np.random.default_rng(58)
         steps = []
         for _ in range(200):
