@@ -282,6 +282,40 @@ class TestMeasureRecords:
         with pytest.raises(ValueError, match="zero total counts"):
             measure_records(cardinal_density("H"), IDEAL_0, noise)
 
+    @pytest.mark.parametrize("path", ["device_0deg.json",
+                                      "device_45deg.json"])
+    def test_counts_follow_one_generator(self, path):
+        # oracle: one generator seeded by the noise seed, one poisson call
+        # on the six noiseless means in HV, DA, RL order, p0 before p1
+        dev = load_device(DATA / path)
+        rng = np.random.default_rng(61)
+        for seed in (0, 1, 17, 2 ** 31 - 1, 2 ** 70):
+            state = random_density(rng)
+            rate = float(10 ** rng.uniform(1.5, 4.0))
+            p = np.array([(r.p0, r.p1) for r in measure_records(state, dev)])
+            expect = np.random.default_rng(seed).poisson(rate * p.ravel())
+            recs = measure_records(state, dev, NoiseConfig(rate, seed))
+            assert [r.basis for r in recs] == list(BASES)
+            assert [n for r in recs for n in r.counts] == expect.tolist()
+
+    def test_counts_match_their_means(self):
+        # per-outcome mean count over many seeds within 5 standard errors of
+        # rate * power: a draw reused across outcomes or a wrong mean fails
+        dev = shipped_device()
+        state = stokes_to_density(StokesVector(1.0, 0.3, -0.5, 0.6))
+        rate, n_seeds = 400.0, 2000
+        mean = rate * np.array([(r.p0, r.p1)
+                                for r in measure_records(state, dev)]).ravel()
+        counts = np.array([[n for r in measure_records(
+            state, dev, NoiseConfig(rate, seed)) for n in r.counts]
+            for seed in range(n_seeds)])
+        assert (mean > 10).all()
+        err = np.sqrt(mean / n_seeds)
+        assert (np.abs(counts.mean(axis=0) - mean) < 5 * err).all()
+        # distinct outcomes are independent draws, not one number reused
+        corr = np.corrcoef(counts.T) - np.eye(6)
+        assert np.abs(corr).max() < 5 / math.sqrt(n_seeds)
+
 
 class TestLinearReconstruct:
     def test_pure_h(self):
@@ -789,6 +823,21 @@ class TestRecordValidation:
     def test_noise_config_rate_finite(self, rate):
         with pytest.raises(ValueError, match="finite"):
             NoiseConfig(counts_per_basis=rate)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 5.0, None, "3", True, False,
+                                      np.float64(2.0), np.int64(-2)])
+    def test_noise_config_seed(self, seed):
+        # numpy would take None (fresh OS entropy, not reproducible) and "3"
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            NoiseConfig(counts_per_basis=100.0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(7),
+                                      2 ** 70])
+    def test_noise_config_seed_accepted(self, seed):
+        noise = NoiseConfig(counts_per_basis=100.0, seed=seed)
+        recs = measure_records(cardinal_density("D"), IDEAL_45, noise)
+        assert recs == measure_records(cardinal_density("D"), IDEAL_45,
+                                       NoiseConfig(100.0, int(seed)))
 
 
 class TestMeasurementCsv:
