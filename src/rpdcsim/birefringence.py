@@ -21,6 +21,17 @@ class AxisUnobservableError(ValueError):
     """Retardance is a whole number of waves; crossed polarizers see nothing."""
 
 
+def _check_retarder(r) -> None:
+    """Range rules of a retarder's finite fields; `RpdcDevice` shares them."""
+    if not 0 <= r.alpha_deg < 180:
+        raise ValueError(f"alpha_deg must be in [0, 180), got {r.alpha_deg}")
+    if r.retardance_rad < 0:
+        raise ValueError(f"retardance_rad must be >= 0, got {r.retardance_rad}")
+    if not 0 < r.amplitude_transmittance <= 1:
+        raise ValueError("amplitude_transmittance must be in (0, 1], got "
+                         f"{r.amplitude_transmittance}")
+
+
 @dataclass(frozen=True)
 class RotatedRetarder:
     """Birefringent element with fast axis at alpha_deg.
@@ -39,13 +50,7 @@ class RotatedRetarder:
                                               self.retardance_rad,
                                               self.amplitude_transmittance)):
             raise ValueError("retarder parameters must be finite")
-        if not 0 <= self.alpha_deg < 180:
-            raise ValueError(f"alpha_deg must be in [0, 180), got {self.alpha_deg}")
-        if self.retardance_rad < 0:
-            raise ValueError(f"retardance_rad must be >= 0, got {self.retardance_rad}")
-        if not 0 < self.amplitude_transmittance <= 1:
-            raise ValueError("amplitude_transmittance must be in (0, 1], got "
-                             f"{self.amplitude_transmittance}")
+        _check_retarder(self)
 
     @property
     def slow_axis_deg(self) -> float:
@@ -86,24 +91,22 @@ class AxisCalibration:
     def alphas(self) -> np.ndarray:
         return np.array([a for _, a in self.samples])
 
+    @functools.cached_property
     def _interpolator(self):
-        """The Fritsch-Carlson monotone cubic through the samples, memoized.
+        """The Fritsch-Carlson monotone cubic through the samples, cached.
 
         Node slopes (Fritsch-Butland inside, SciPy's shape-preserving
         three-point formula at the ends) come from `_pchip_slopes`, once per
-        table; each call is a cubic Hermite evaluation on one interval.
+        table; each call is a cubic Hermite evaluation on one interval. A
+        table whose slopes overflow caches nothing and raises every time.
         """
-        memo = getattr(self, "_interp_memo", None)
-        if memo is None:
-            x, y = self.thetas, self.alphas
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                d = _pchip_slopes(x, y)
-            if not np.isfinite(d).all():
-                raise ValueError("calibration slopes overflow: thetas are "
-                                 "too close together")
-            memo = functools.partial(_hermite, x, y, d)
-            object.__setattr__(self, "_interp_memo", memo)
-        return memo
+        x, y = self.thetas, self.alphas
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            d = _pchip_slopes(x, y)
+        if not np.isfinite(d).all():
+            raise ValueError("calibration slopes overflow: thetas are "
+                             "too close together")
+        return functools.partial(_hermite, x, y, d)
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -195,7 +198,7 @@ def axis_from_offset(cal: AxisCalibration, theta_deg: float) -> float:
     if not lo <= theta_deg <= hi:
         raise ValueError(f"theta_deg {theta_deg} outside calibrated range "
                          f"[{lo}, {hi}]; no extrapolation")
-    return cal._interpolator()(theta_deg)
+    return cal._interpolator(theta_deg)
 
 
 def retarder_jones(r: RotatedRetarder) -> np.ndarray:

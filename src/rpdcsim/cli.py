@@ -53,19 +53,15 @@ def _expand_range(value, name):
             raise ValueError(f"{name}: step must be > 0, got {step}")
         if stop < start:
             raise ValueError(f"{name}: stop {stop} < start {start}")
-        # the points are start + i*step while that is <= stop + 1e-12; the
-        # quotient (inf if it overflows) estimates their count, and rounding
-        # can move the true count past it by one either way
-        span = (stop - start) / step
-        n = int(span) + 1 if span < MAX_RANGE_POINTS else MAX_RANGE_POINTS + 1
-        while n <= MAX_RANGE_POINTS and start + n * step <= stop + 1e-12:
-            n += 1
-        while n > 1 and start + (n - 1) * step > stop + 1e-12:
-            n -= 1
-        if n > MAX_RANGE_POINTS:
-            raise ValueError(f"{name}: range has more than "
-                             f"{MAX_RANGE_POINTS} points")
-        return tuple(start + i * step for i in range(n))
+        # the points are start + i*step for i = 0, 1, ... while that is
+        # <= stop + 1e-12, and no more than MAX_RANGE_POINTS of them
+        points, limit = [], stop + 1e-12
+        while (point := start + len(points) * step) <= limit:
+            if len(points) == MAX_RANGE_POINTS:
+                raise ValueError(f"{name}: range has more than "
+                                 f"{MAX_RANGE_POINTS} points")
+            points.append(point)
+        return tuple(points)
     if isinstance(value, (list, tuple)):
         if not value:
             raise ValueError(f"{name}: sweep range must be non-empty")
@@ -110,13 +106,10 @@ def _read_path(value, name) -> str:
 
 
 def _read_seed(value, name) -> int:
-    """An integer >= 0 (numpy's seeder takes no other); 5.0 but not "5"."""
+    """A seed `NoiseConfig` accepts; a JSON integral float such as 5.0 is 5."""
     if type(value) is float and value.is_integer():
         value = int(value)
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, "
-                         f"got {value!r}")
-    return value
+    return NoiseConfig(seed=value).seed
 
 
 def _read_noise(value, name) -> float:
@@ -252,9 +245,9 @@ def cmd_tomography(cfg, args, meta: dict, out_dir: Path) -> None:
     device = load_device(device_path)
     fid_rows = []
     for idx, label in enumerate(TOMOGRAPHY_STATES):
-        # one independent count stream per state, derived from the run seed
+        # state i at run seed s draws from seed 6 s + i: no shared streams
         noise = NoiseConfig(counts_per_basis=cfg.counts_per_basis,
-                            seed=cfg.seed + idx)
+                            seed=len(TOMOGRAPHY_STATES) * cfg.seed + idx)
         true_state = cardinal_density(label)
         fid, result = run_tomography_experiment(true_state, device, noise)
         _write_json(out_dir / f"tomography_{label}.json",

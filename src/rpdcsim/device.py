@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import check_fields, read_json, read_number
+from .birefringence import _check_retarder
 from .coupling import CouplerParams, coupler_transfer_matrix
 from .polarization import (
     JonesVector,
@@ -73,13 +74,7 @@ class RpdcDevice:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if not 0 <= self.alpha_deg < 180:
-            raise ValueError(f"alpha_deg must be in [0, 180), got {self.alpha_deg}")
-        if not 0 < self.amplitude_transmittance <= 1:
-            raise ValueError("amplitude_transmittance must be in (0, 1], got "
-                             f"{self.amplitude_transmittance}")
-        if self.retardance_rad < 0:
-            raise ValueError(f"retardance_rad must be >= 0, got {self.retardance_rad}")
+        _check_retarder(self)
         if self.length_mm < 0:
             raise ValueError(f"length_mm must be >= 0, got {self.length_mm}")
         if not self.k_slow_rad_per_mm >= self.k_fast_rad_per_mm >= 0:
@@ -220,7 +215,9 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     Models the parallel region alone as a rotated retarder (slow axis at
     alpha_deg, retardance retardance_rad, the device transmittance) and
     analyzes the output against the ideal half-wave image of the input,
-    the linear state at 2 alpha - theta_in.
+    the linear state e = 2 alpha - theta_in. The visibility is the power
+    balance between e and e + 90, read from the normalized output Stokes
+    vector as s3 cos 2e + s1 sin 2e.
     """
     if input_label not in _LINEAR_ANGLES:
         raise ValueError(f"input_label must be one of "
@@ -233,15 +230,10 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     out = region @ cardinal_state(input_label).as_array()
 
     expected_angle = (2.0 * a - theta_in) % 180.0
-    er = math.radians(expected_angle)
-    e_expect = np.array([math.cos(er), math.sin(er)], dtype=complex)
-    e_block = np.array([-math.sin(er), math.cos(er)], dtype=complex)
-    p_expect = abs(np.vdot(e_expect, out)) ** 2
-    p_block = abs(np.vdot(e_block, out)) ** 2
-    visibility = (p_expect - p_block) / (p_expect + p_block)
-
     jones = JonesVector.from_array(out)
     stokes = density_to_stokes(jones_to_density(jones))
+    two_e = math.radians(2.0 * expected_angle)
+    visibility = stokes.s3 * math.cos(two_e) + stokes.s1 * math.sin(two_e)
     # ellipse angles from the polarized part; s3 is the H/V balance and
     # s1 the D/A balance, so the standard formulas read (s3, s1, s2)
     orientation = math.degrees(0.5 * math.atan2(stokes.s1, stokes.s3)) % 180.0
@@ -252,7 +244,7 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
         input_label=input_label,
         expected_angle_deg=expected_angle,
         expected_label=_label_for_angle(expected_angle),
-        visibility=float(visibility),
+        visibility=visibility,
         orientation_deg=orientation,
         ellipticity_deg=ellipticity,
         stokes=stokes,

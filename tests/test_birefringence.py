@@ -1,5 +1,6 @@
 """Rotated retarders, axis calibration, crossed-polarizer axis finding."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -103,6 +104,17 @@ class TestAxisCalibration:
         for t in np.linspace(20.0, 120.0, 41):
             assert axis_from_offset(cal, t) == pytest.approx(
                 30.0 + 0.5 * (t - 20.0), abs=1e-12)
+
+    def test_one_interpolator_per_table(self):
+        cal = synthetic_calibration()
+        assert cal._interpolator is cal._interpolator
+        assert axis_from_offset(cal, 0.0) == 0.0
+        # a copy with other samples builds its own curve from them
+        shifted = dataclasses.replace(
+            cal, samples=tuple((t, a + 1.0) for t, a in cal.samples))
+        assert shifted._interpolator is not cal._interpolator
+        assert axis_from_offset(shifted, 0.0) == 1.0
+        assert axis_from_offset(cal, 0.0) == 0.0
 
     def test_exact_at_samples(self):
         cal = synthetic_calibration()
@@ -252,8 +264,10 @@ class TestPchip:
 
     def test_overflowing_slopes_rejected(self):
         cal = AxisCalibration(((0.0, 0.0), (5e-324, 10.0), (1.0, 20.0)))
-        with pytest.raises(ValueError, match="too close"):
-            axis_from_offset(cal, 0.5)
+        # nothing is cached from a failed build: every call raises
+        for theta in (0.5, 0.5, 1.0):
+            with pytest.raises(ValueError, match="too close"):
+                axis_from_offset(cal, theta)
 
 
 class TestPchipScipyOracle:

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import rpdcsim
-from rpdcsim.cli import _expand_range, main
+from rpdcsim.cli import _expand_range, _read_seed, main
 from rpdcsim.device import extinction_ratios, load_device, make_pdc_device
 from rpdcsim.tomography import (
+    NoiseConfig,
     cardinal_density,
     load_measurement_csv,
     measure_records,
@@ -320,6 +321,28 @@ class TestTomography:
         assert fa == (b / "fidelities.csv").read_bytes()
         assert fa != (c / "fidelities.csv").read_bytes()
 
+    def test_states_and_seeds_share_no_count_stream(self, tmp_path,
+                                                    monkeypatch):
+        # state V at one seed and state H at the next once drew the same
+        # counts: each (seed, state) pair must seed its own generator
+        seeds = []
+        run = rpdcsim.cli.run_tomography_experiment
+
+        def recording_run(true_state, device, noise):
+            seeds.append(noise.seed)
+            return run(true_state, device, noise)
+
+        monkeypatch.setattr(rpdcsim.cli, "run_tomography_experiment",
+                            recording_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"device": SHIPPED_DEVICE,
+                                   "noise": {"counts_per_basis": 2000}}))
+        for seed in range(4):
+            assert main(["tomography", "--config", str(cfg), "--seed",
+                         str(seed), "--out", str(tmp_path / "out")]) == 0
+        assert len(seeds) == len(set(seeds)) == 24
+        assert seeds[:6] == [0, 1, 2, 3, 4, 5]
+
 
 class TestRanges:
     # non-finite, vanishing or overflowing ranges: each must exit 2 at once
@@ -602,6 +625,27 @@ class TestConfigFieldTypes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and field in err, err
+
+    @pytest.mark.parametrize("text, want", [
+        ("5", 5), ("5.0", 5), ("2.5", None), ("-1", None), ("true", None),
+        ('"5"', None), ("null", None), ("1e400", None),
+        (str(2 ** 70), 2 ** 70),
+    ])
+    def test_seed_reader_is_noise_config(self, text, want):
+        # the reader turns an integral JSON float into an int and leaves
+        # every other decision, and its message, to NoiseConfig
+        value = json.loads(text)
+        if want is None:
+            with pytest.raises(ValueError) as expected:
+                NoiseConfig(seed=value)
+            with pytest.raises(ValueError) as got:
+                _read_seed(value, "seed")
+            assert str(got.value) == str(expected.value)
+            assert str(got.value).startswith("seed must be an integer >= 0")
+        else:
+            assert NoiseConfig(seed=want).seed == want
+            got = _read_seed(value, "seed")
+            assert got == want and type(got) is int
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["extinction", "--device", SHIPPED_DEVICE, "--seed",

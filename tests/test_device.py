@@ -87,6 +87,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_pdc_device(180.0, 0.2, 0.1, 23.0)
 
+    @pytest.mark.parametrize("changes", [
+        {"alpha_deg": 180.0}, {"alpha_deg": -1.0}, {"retardance_rad": -0.1},
+        {"amplitude_transmittance": 0.0}, {"amplitude_transmittance": 1.2},
+        {"retardance_rad": -0.1, "amplitude_transmittance": 1.2},
+    ])
+    def test_retarder_rules_match_rotated_retarder(self, changes):
+        # the straight section is a rotated retarder: the same values are
+        # out of range for both, with the same message, checked in one order
+        with pytest.raises(ValueError) as want:
+            dataclasses.replace(RotatedRetarder(45.0, 2.5, 0.9), **changes)
+        with pytest.raises(ValueError) as got:
+            dataclasses.replace(make_pdc_device(45.0, 0.2, 0.1, 23.0, 5.5,
+                                                0.9, 2.5), **changes)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(next(iter(changes)))
+
     def test_transmittance_range(self):
         with pytest.raises(ValueError):
             make_pdc_device(45.0, 0.2, 0.1, 23.0,
@@ -247,6 +263,27 @@ class TestAxisCheck:
         r = simulate_axis_check(dev, "H")
         assert r.ellipticity_deg == pytest.approx(45.0, abs=1e-9)
         assert r.stokes.s2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_visibility_matches_two_projections(self):
+        # oracle: the output field, built from the equivalent retarder
+        # (fast axis 90 degrees from the device's slow axis), projected on
+        # the expected linear state e and on e + 90
+        rng = np.random.default_rng(15)
+        devices = [ideal_device(), shipped_device(),
+                   *(random_device(rng) for _ in range(100))]
+        for dev in devices:
+            region = retarder_jones(RotatedRetarder(
+                (dev.alpha_deg + 90.0) % 180.0, dev.retardance_rad,
+                dev.amplitude_transmittance))
+            for label, theta_in in (("H", 0.0), ("V", 90.0), ("D", 45.0),
+                                    ("A", 135.0)):
+                out = region @ cardinal_state(label).as_array()
+                e = math.radians(2.0 * dev.alpha_deg - theta_in)
+                p_expect = abs(np.vdot([math.cos(e), math.sin(e)], out)) ** 2
+                p_block = abs(np.vdot([-math.sin(e), math.cos(e)], out)) ** 2
+                want = (p_expect - p_block) / (p_expect + p_block)
+                got = simulate_axis_check(dev, label).visibility
+                assert abs(got - want) <= 1e-12, (dev, label)
 
     def test_bad_label(self):
         with pytest.raises(ValueError):
