@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -97,8 +98,9 @@ class AxisCalibration:
 
         Node slopes (Fritsch-Butland inside, SciPy's shape-preserving
         three-point formula at the ends) come from `_pchip_slopes`, once per
-        table; each call is a cubic Hermite evaluation on one interval. A
-        table whose slopes overflow caches nothing and raises every time.
+        table, and are kept with the nodes as tuples of Python floats; each
+        call is a cubic Hermite evaluation on one interval. A table whose
+        slopes overflow caches nothing and raises every time.
         """
         x, y = self.thetas, self.alphas
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -106,7 +108,8 @@ class AxisCalibration:
         if not np.isfinite(d).all():
             raise ValueError("calibration slopes overflow: thetas are "
                              "too close together")
-        return functools.partial(_hermite, x, y, d)
+        return functools.partial(_hermite, tuple(x.tolist()),
+                                 tuple(y.tolist()), tuple(d.tolist()))
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -152,11 +155,11 @@ def _pchip_slopes(x, y) -> np.ndarray:
 def _hermite(x, y, d, t) -> float:
     """Cubic Hermite value at t from node values y and slopes d.
 
-    The interval is the one whose left node is the last node <= t; t on the
-    last node uses the last interval. The basis form returns y exactly at
-    both ends of an interval.
+    x, y and d are sequences of Python floats. The interval is the one
+    whose left node is the last node <= t; t on the last node uses the last
+    interval. The basis form returns y exactly at both ends of an interval.
     """
-    k = min(int(np.searchsorted(x, t, side="right")) - 1, len(x) - 2)
+    k = min(bisect.bisect_right(x, t) - 1, len(x) - 2)
     h = x[k + 1] - x[k]
     s = (t - x[k]) / h
     u = 1.0 - s
@@ -208,12 +211,13 @@ def retarder_jones(r: RotatedRetarder) -> np.ndarray:
     return rotated_diagonal(r.alpha_deg, t * np.exp(-half), t * np.exp(half))
 
 
-def _crossed_power(jones: np.ndarray, pol_angle_deg: float) -> float:
+def _crossed_power(jones: list, pol_angle_deg: float) -> float:
     """|e_{p+90}^T J e_p|^2: unit power aligned with polarizer p, through J,
-    then through the crossed polarizer p + 90."""
+    then through the crossed polarizer p + 90. J is given as nested lists
+    of Python complex numbers, `ndarray.tolist()` of the Jones matrix."""
     a = math.radians(pol_angle_deg)
     c, s = math.cos(a), math.sin(a)
-    (j00, j01), (j10, j11) = jones.tolist()
+    (j00, j01), (j10, j11) = jones
     amp = c * (j10 * c + j11 * s) - s * (j00 * c + j01 * s)
     return amp.real * amp.real + amp.imag * amp.imag
 
@@ -225,7 +229,7 @@ def crossed_polarizer_transmission(r: RotatedRetarder,
     Unit power enters the first polarizer already aligned with it, so the
     result is t^2 sin^2(2(alpha - p)) sin^2(delta/2).
     """
-    return _crossed_power(retarder_jones(r), pol_angle_deg)
+    return _crossed_power(retarder_jones(r).tolist(), pol_angle_deg)
 
 
 def fit_axis(angles_deg, powers) -> tuple:
@@ -294,6 +298,6 @@ def find_axis(r: RotatedRetarder) -> float:
         raise AxisUnobservableError(
             f"retardance {r.retardance_rad} rad is a whole number of waves; "
             "crossed-polarizer transmission is identically zero")
-    jones = retarder_jones(r)
+    jones = retarder_jones(r).tolist()
     return fit_axis(_AXIS_ANGLES, [_crossed_power(jones, p)
                                    for p in _AXIS_ANGLES])[0]

@@ -13,10 +13,12 @@ Port naming follows the splitting-ratio law: port T is the cross arm
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +29,6 @@ from .polarization import (
     JonesVector,
     StokesVector,
     cardinal_state,
-    density_to_stokes,
-    jones_to_density,
     rotated_diagonal,
 )
 
@@ -58,6 +58,8 @@ class RpdcDevice:
     couples at least as strongly as the fast one. retardance_rad is the
     residual slow-minus-fast phase of the straight section;
     amplitude_transmittance scales output fields (power goes as its square).
+    Each axis phase k_axis length_mm + bend_phase_axis must be finite, and
+    the power amplitude_transmittance^2 above 0.
     """
 
     alpha_deg: float
@@ -82,6 +84,19 @@ class RpdcDevice:
                 "need k_slow_rad_per_mm >= k_fast_rad_per_mm >= 0 (the slow "
                 "axis couples at least as strongly), got k_slow "
                 f"{self.k_slow_rad_per_mm} and k_fast {self.k_fast_rad_per_mm}")
+        # each axis's phase k Z + phi, and the power t^2, must stay in the
+        # float range for sin, cos and the port powers to mean anything
+        for k, phi in (("k_slow_rad_per_mm", "bend_phase_slow_rad"),
+                       ("k_fast_rad_per_mm", "bend_phase_fast_rad")):
+            k_value, phi_value = getattr(self, k), getattr(self, phi)
+            if not math.isfinite(k_value * self.length_mm + phi_value):
+                raise ValueError(
+                    f"phase {k} * length_mm + {phi} overflows: {k} "
+                    f"{k_value}, length_mm {self.length_mm}, {phi} "
+                    f"{phi_value}")
+        if not self.amplitude_transmittance ** 2 > 0:
+            raise ValueError("amplitude_transmittance squared underflows to "
+                             f"0, got {self.amplitude_transmittance}")
 
     @property
     def coupler_slow(self) -> CouplerParams:
@@ -215,9 +230,11 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     Models the parallel region alone as a rotated retarder (slow axis at
     alpha_deg, retardance retardance_rad, the device transmittance) and
     analyzes the output against the ideal half-wave image of the input,
-    the linear state e = 2 alpha - theta_in. The visibility is the power
-    balance between e and e + 90, read from the normalized output Stokes
-    vector as s3 cos 2e + s1 sin 2e.
+    the linear state e = 2 alpha - theta_in. The normalized output Stokes
+    vector of the pure output field (e_h, e_v) of power p is
+    (p, 2 Re(e_h e_v*), -2 Im(e_h e_v*), |e_h|^2 - |e_v|^2) / p, the Stokes
+    vector of its projector. The visibility is the power balance between
+    e and e + 90, s3 cos 2e + s1 sin 2e.
     """
     if input_label not in _LINEAR_ANGLES:
         raise ValueError(f"input_label must be one of "
@@ -226,12 +243,18 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     a = dev.alpha_deg
     half = 0.5j * dev.retardance_rad
     t = dev.amplitude_transmittance
-    region = rotated_diagonal(a, t * np.exp(half), t * np.exp(-half))
-    out = region @ cardinal_state(input_label).as_array()
+    region = rotated_diagonal(a, t * cmath.exp(half), t * cmath.exp(-half))
+    e_h, e_v = (region @ cardinal_state(input_label).as_array()).tolist()
 
     expected_angle = (2.0 * a - theta_in) % 180.0
-    jones = JonesVector.from_array(out)
-    stokes = density_to_stokes(jones_to_density(jones))
+    jones = JonesVector(e_h, e_v)
+    p_h, p_v = abs(e_h) ** 2, abs(e_v) ** 2
+    p = p_h + p_v
+    if p == 0:
+        raise ValueError("zero Jones vector has no polarization state")
+    cross = e_h * e_v.conjugate()
+    stokes = StokesVector(1.0, 2.0 * cross.real / p, -2.0 * cross.imag / p,
+                          (p_h - p_v) / p)
     two_e = math.radians(2.0 * expected_angle)
     visibility = stokes.s3 * math.cos(two_e) + stokes.s1 * math.sin(two_e)
     # ellipse angles from the polarized part; s3 is the H/V balance and
@@ -251,9 +274,12 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
         jones=jones)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Normalized (loss removed) port powers at one coupling length."""
+class SweepPoint(NamedTuple):
+    """Normalized (loss removed) port powers at one coupling length.
+
+    An immutable named tuple: the row (length_mm, p_t_slow, p_t_fast,
+    p_r_slow, p_r_fast), with each field also read by name.
+    """
 
     length_mm: float
     p_t_slow: float
@@ -274,7 +300,12 @@ def sweep_coupling_length(dev: RpdcDevice, lengths_mm) -> list:
         z = float(z)
         if not 0 <= z < math.inf:
             raise ValueError(f"lengths must be finite and >= 0, got {z}")
-        points.append(SweepPoint(z, *_axis_powers(dev, z)))
+        try:
+            powers = _axis_powers(dev, z)
+        except ValueError:  # math.sin of an infinite phase
+            raise ValueError(f"length {z} mm overflows the phase k * "
+                             "length + bend phase of an axis") from None
+        points.append(SweepPoint(z, *powers))
     return points
 
 

@@ -24,6 +24,7 @@ normalize by ``s0``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -73,7 +74,7 @@ class JonesVector:
     e_v: complex
 
     def __post_init__(self):
-        if not (np.isfinite(self.e_h) and np.isfinite(self.e_v)):
+        if not (cmath.isfinite(self.e_h) and cmath.isfinite(self.e_v)):
             raise ValueError("Jones components must be finite")
 
     @classmethod
@@ -143,7 +144,7 @@ class StokesVector:
 
     @property
     def polarized_power(self) -> float:
-        return float(np.sqrt(self.s1 ** 2 + self.s2 ** 2 + self.s3 ** 2))
+        return math.sqrt(self.s1 ** 2 + self.s2 ** 2 + self.s3 ** 2)
 
     def degree_of_polarization(self) -> float:
         if self.s0 <= 0:

@@ -262,6 +262,32 @@ class TestPchip:
         assert _pchip_slopes(peak.thetas, peak.alphas)[1] == 0.0
         assert lookups(peak, np.linspace(0.0, 30.0, 3001)).max() == 30.0
 
+    def test_lookup_is_the_array_hermite_bit_for_bit(self):
+        # oracle: the Hermite basis form on numpy arrays, its interval found
+        # by np.searchsorted; the lookup is a Python float with the same bits
+        def oracle(cal, t):
+            x, y = cal.thetas, cal.alphas
+            d = _pchip_slopes(x, y)
+            k = min(int(np.searchsorted(x, t, side="right")) - 1, len(x) - 2)
+            h = x[k + 1] - x[k]
+            s = (t - x[k]) / h
+            u = 1.0 - s
+            return float(y[k] * (1 + 2 * s) * u * u
+                         + y[k + 1] * s * s * (3 - 2 * s)
+                         + h * s * u * (d[k] * u - d[k + 1] * s))
+
+        rng = np.random.default_rng(35)
+        cals = [load_axis_calibration(SHIPPED_CALIBRATION)]
+        cals += [random_table(rng) for _ in range(100)]
+        for cal in cals:
+            lo, hi = cal.samples[0][0], cal.samples[-1][0]
+            thetas = [lo, hi, *(t for t, _ in cal.samples),
+                      *rng.uniform(lo, hi, 40).tolist()]
+            for t in thetas:
+                got = axis_from_offset(cal, t)
+                assert type(got) is float
+                assert got == oracle(cal, t), (cal, t)
+
     def test_overflowing_slopes_rejected(self):
         cal = AxisCalibration(((0.0, 0.0), (5e-324, 10.0), (1.0, 20.0)))
         # nothing is cached from a failed build: every call raises

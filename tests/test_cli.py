@@ -398,6 +398,24 @@ class TestRanges:
         with pytest.raises(ValueError, match="more than"):
             _expand_range({"start": 0, "stop": 1000000, "step": 1}, "x")
 
+    @pytest.mark.parametrize("spec", [
+        (0.0, 1.0, 1e-12), (0.0, 1e308, 1e-300), (-1e308, 1e308, 1.0),
+        (0.0, 2e6 + 1.0, 1.0), (1.0, 1.0, 1e-22)])
+    def test_far_over_the_cap_rejects_at_once(self, spec):
+        # past twice the cap the span alone decides: no point is stepped to,
+        # so the rejection takes microseconds where stepping to the cap
+        # takes about half a second
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than"):
+            _expand_range(dict(zip(("start", "stop", "step"), spec)), "x")
+        assert time.perf_counter() - start < 0.05
+
+    def test_huge_ends_few_points(self):
+        # stop - start overflows, but the span is taken in halves, so the
+        # stepping decides: start + 2 * step overflows past the limit
+        assert _expand_range({"start": -1.7e308, "stop": 1.7e308,
+                              "step": 1.7e308}, "x") == (-1.7e308, 0.0)
+
     def test_non_numeric_range_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"thetas_deg": {"start": [0], "stop": 1,
@@ -781,6 +799,39 @@ class TestMalformedFiles:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "bad_k.json" in err, err
             assert f"k_slow {k_slow}" in err and f"k_fast {k_fast}" in err
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"k_slow_rad_per_mm": 1e300, "k_fast_rad_per_mm": 1e300,
+          "length_mm": 1e10}, "k_slow_rad_per_mm 1e+300"),
+        ({"k_slow_rad_per_mm": 1.7e308, "bend_phase_slow_rad": 1.7e308},
+         "bend_phase_slow_rad 1.7e+308"),
+        ({"transmittance": 1e-320}, "amplitude_transmittance squared"),
+    ], ids=["phase-overflow", "bend-phase-overflow", "power-underflow"])
+    def test_values_past_the_float_range_exit_2(self, tmp_path, capsys,
+                                                changes, named):
+        # each field is finite and in range, but the phase k L + phi or the
+        # power t^2 is not; these once printed "math domain error" or a
+        # record error naming neither the file nor a field
+        fields = dict(json.loads(Path(SHIPPED_DEVICE).read_text()), **changes)
+        bad = tmp_path / "bad_range.json"
+        bad.write_text(json.dumps(fields))
+        for command in (["extinction"], ["coupler-sweep", "--lengths", "1"],
+                        ["tomography"]):
+            assert main(command + ["--device", str(bad), "--out",
+                                   str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ") and named in err, err
+
+    def test_sweep_length_past_the_float_range_exits_2(self, tmp_path,
+                                                       capsys):
+        fields = dict(json.loads(Path(SHIPPED_DEVICE).read_text()),
+                      k_slow_rad_per_mm=10.0)
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(fields))
+        assert main(["coupler-sweep", "--device", str(dev), "--lengths",
+                     "1,1e308", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: length 1e+308 mm overflows"), err
 
     def test_records_not_utf8(self, tmp_path, capsys):
         rec_csv = tmp_path / "records.csv"

@@ -12,6 +12,8 @@ from rpdcsim.birefringence import RotatedRetarder, retarder_jones
 from rpdcsim.coupling import CouplerParams
 from rpdcsim.device import (
     RpdcDevice,
+    SweepPoint,
+    _axis_powers,
     axis_port_powers,
     device_from_dict,
     device_to_dict,
@@ -24,7 +26,13 @@ from rpdcsim.device import (
     simulate_axis_check,
     sweep_coupling_length,
 )
-from rpdcsim.polarization import JonesVector, cardinal_state, rotation_deg
+from rpdcsim.polarization import (
+    JonesVector,
+    cardinal_state,
+    density_to_stokes,
+    jones_to_density,
+    rotation_deg,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -111,6 +119,36 @@ class TestConstruction:
     def test_negative_bend(self):
         with pytest.raises(ValueError):
             make_pdc_device(45.0, 0.2, 0.1, 23.0, bend_length_mm=-1.0)
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"k_slow_rad_per_mm": 1e300, "k_fast_rad_per_mm": 1e300,
+          "length_mm": 1e10}, "k_slow_rad_per_mm"),
+        ({"k_slow_rad_per_mm": 1.7e308, "bend_phase_slow_rad": 1.7e308,
+          "length_mm": 1.0}, "k_slow_rad_per_mm"),
+        ({"k_slow_rad_per_mm": 1.7e308, "k_fast_rad_per_mm": 1.7e308,
+          "bend_phase_slow_rad": -1.7e308, "bend_phase_fast_rad": 1.7e308,
+          "length_mm": 1.0}, "k_fast_rad_per_mm"),
+    ])
+    def test_overflowing_phase_named(self, changes, field):
+        # every field is finite and in range, but k * length + bend phase
+        # is not; the message names the fields and their values
+        good = make_pdc_device(45.0, 0.2, 0.1, 23.0, 5.5, 0.9, 2.5)
+        with pytest.raises(ValueError, match=f"phase {field} ") as exc:
+            dataclasses.replace(good, **changes)
+        assert repr(changes[field]) in str(exc.value)
+        # a length whose phase stays finite keeps the device valid
+        dataclasses.replace(good, **dict(changes, length_mm=0.0))
+
+    def test_transmittance_whose_square_underflows(self):
+        with pytest.raises(ValueError,
+                           match="amplitude_transmittance squared underflows "
+                                 "to 0, got 1e-320"):
+            make_pdc_device(45.0, 0.2, 0.1, 23.0,
+                            amplitude_transmittance=1e-320)
+        # a transmittance whose square is still a float above 0 is kept
+        dev = make_pdc_device(45.0, 0.2, 0.1, 23.0,
+                              amplitude_transmittance=3e-162)
+        assert dev.amplitude_transmittance ** 2 > 0
 
     def test_bend_phases_scale_with_k(self):
         dev = make_pdc_device(45.0, 0.2, 0.1, 23.0, bend_length_mm=5.5)
@@ -285,6 +323,18 @@ class TestAxisCheck:
                 got = simulate_axis_check(dev, label).visibility
                 assert abs(got - want) <= 1e-12, (dev, label)
 
+    def test_stokes_is_that_of_the_output_projector(self):
+        # oracle: the Stokes vector of the projector of the output field
+        rng = np.random.default_rng(16)
+        devices = [ideal_device(), shipped_device(),
+                   *(random_device(rng) for _ in range(100))]
+        for dev in devices:
+            for label in "HVDA":
+                r = simulate_axis_check(dev, label)
+                want = density_to_stokes(jones_to_density(r.jones))
+                assert np.abs(np.subtract(r.stokes.as_tuple(),
+                                          want.as_tuple())).max() <= 1e-15
+
     def test_bad_label(self):
         with pytest.raises(ValueError):
             simulate_axis_check(ideal_device(), "R")
@@ -344,6 +394,25 @@ class TestSweep:
     def test_bad_length_rejected(self, z):
         with pytest.raises(ValueError, match="lengths"):
             sweep_coupling_length(ideal_device(), [1.0, z])
+
+    def test_overflowing_length_named(self):
+        dev = make_pdc_device(45.0, 10.0, 0.1, 1.0)
+        with pytest.raises(ValueError, match=r"length 1e\+308 mm overflows "
+                                             "the phase"):
+            sweep_coupling_length(dev, [1.0, 1e308, 2.0])
+
+    def test_points_are_immutable_rows(self):
+        rng = np.random.default_rng(45)
+        dev = random_device(rng)
+        lengths = rng.uniform(0, 40, size=50)
+        points = sweep_coupling_length(dev, lengths)
+        assert SweepPoint._fields == ("length_mm", "p_t_slow", "p_t_fast",
+                                      "p_r_slow", "p_r_fast")
+        for z, pt in zip(lengths, points):
+            assert tuple(pt) == (float(z), *_axis_powers(dev, float(z)))
+            assert pt.length_mm == pt[0] and pt.p_r_fast == pt[4]
+        with pytest.raises(AttributeError):
+            points[0].p_t_slow = 0.5
 
     def test_matches_full_jones_model(self):
         # oracle: the port matrices of the device rebuilt at each length,
