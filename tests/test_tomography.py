@@ -682,6 +682,28 @@ class TestMleReconstruct:
         for ll in (res.log_likelihood, linear_reconstruct(recs).log_likelihood):
             assert ll == pytest.approx(want, rel=1e-15)
 
+    def test_basis_sum_past_the_float_range(self):
+        # HV's sum 1.9e308 overflows; taken in quarters, its frequencies are
+        # 1/1.9 and 0.9/1.9, so s3 = 0.1/1.9 and the log-likelihood is
+        # finite, from powers or from counts of the same weights. Linear
+        # inversion takes counts only: these powers overflow its s0
+        want = (1e308 * math.log(1 / 1.9) + 9e307 * math.log(0.9 / 1.9)
+                - 4 * math.log(2))
+        powers = (MeasurementRecord("HV", 1e308, 9e307),
+                  MeasurementRecord("DA", 1.0, 1.0),
+                  MeasurementRecord("RL", 1.0, 1.0))
+        counts = tuple(MeasurementRecord(r.basis, 0.5, 0.5,
+                                         counts=tuple(map(int, r.weights)))
+                       for r in powers)
+        assert counts[0].weights == (1e308, 9e307)
+        res = mle_reconstruct(powers)
+        assert res.converged and res.iterations == 0
+        assert res.stokes.as_tuple()[:3] == (1.0, 0.0, 0.0)
+        assert res.stokes.s3 == pytest.approx(1 / 19, rel=1e-15)
+        for ll in (res.log_likelihood, mle_reconstruct(counts).log_likelihood,
+                   linear_reconstruct(counts).log_likelihood):
+            assert ll == pytest.approx(want, rel=1e-15)
+
     def test_weights_scaled_by_a_power_of_four_solve_alike(self):
         # a boundary solve scales its weights by a power of four: the state
         # and step count equal those of weights 4**500 times smaller, and the
