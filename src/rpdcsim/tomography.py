@@ -235,7 +235,8 @@ def measure_records(state: DensityMatrix, device: RpdcDevice,
     return tuple(records)
 
 
-def _records_by_basis(records) -> dict:
+def _bloch_records(records) -> tuple:
+    """The one record of each basis, in BLOCH_AXES order: s1, s2, s3."""
     by_basis = {}
     for rec in records:
         if rec.basis in by_basis:
@@ -244,47 +245,42 @@ def _records_by_basis(records) -> dict:
     missing = [b for b in BASES if b not in by_basis]
     if missing:
         raise ValueError(f"missing record for basis: {', '.join(missing)}")
-    return by_basis
+    return tuple(by_basis[basis] for basis in BLOCH_AXES)
 
 
-def _bloch_weights(by_basis: dict) -> tuple:
-    """((a_i, b_i) for s1, s2, s3): the weights of each basis's outcomes."""
-    return tuple(by_basis[basis].weights for basis in BLOCH_AXES)
+def _frequencies(pairs) -> list:
+    """(p_a, p_b, n) of each basis's weights (a, b): the frequencies p/n.
+
+    p_a, p_b and n are a, b and a + b, or their quarters where a + b is
+    past the float range.
+    """
+    return [(a, b, a + b) if a + b < math.inf else
+            (0.25 * a, 0.25 * b, 0.25 * a + 0.25 * b) for a, b in pairs]
 
 
-def _frequency_log_likelihood(pairs) -> float:
-    """Log-likelihood at the per-basis frequencies a/(a+b), b/(a+b).
+def _log_likelihood(pairs, probs) -> float:
+    """sum a log(p_a/n) + b log(p_b/n), weights (a, b), probs (p_a, p_b, n).
 
-    Unlike 1 -+ x_i, these keep an outcome whose frequency is below rounding,
-    and one below the float range as log w - log(a + b). A basis sum past the
-    float range is taken in quarters.
+    0 log 0 = 0; -inf if an outcome with positive weight has p <= 0. A
+    ratio below the float range is taken as log p - log n, so an outcome
+    whose frequency is below rounding keeps its term.
     """
     ll = 0.0
-    for a, b in pairs:
-        q = 1.0 if a + b < math.inf else 0.25
-        n = q * a + q * b
-        for w in (a, b):
-            if w > 0.0:
-                f = q * w / n
-                ll += w * (math.log(f) if f > 0.0 else
-                           math.log(w) - math.log(n))
-    return ll
-
-
-def _log_likelihood(pairs, x) -> float:
-    """sum a log q+ + b log q- over axes, q+- = (1 +- x_i)/2.
-
-    0 log 0 = 0; -inf if an outcome with positive weight has q <= 0.
-    """
-    ll = 0.0
-    for (a, b), xi in zip(pairs, x):
-        for w, q in ((a, 0.5 * (1.0 + xi)), (b, 0.5 * (1.0 - xi))):
+    for (a, b), (p_a, p_b, n) in zip(pairs, probs):
+        for w, p in ((a, p_a), (b, p_b)):
             if w == 0.0:
                 continue
-            if q <= 0.0:
+            if p <= 0.0:
                 return -math.inf
-            ll += w * math.log(q)
+            f = p / n
+            ll += w * (math.log(f) if f > 0.0 else math.log(p) - math.log(n))
     return ll
+
+
+def _result(stokes, log_likelihood, iterations, converged) -> TomographyResult:
+    return TomographyResult(rho=stokes_to_density(stokes), stokes=stokes,
+                            log_likelihood=log_likelihood,
+                            iterations=iterations, converged=converged)
 
 
 def linear_reconstruct(records) -> TomographyResult:
@@ -297,16 +293,12 @@ def linear_reconstruct(records) -> TomographyResult:
     log-likelihood is that of each basis's own frequencies, the linear
     estimate whenever every basis carries the same total power.
     """
-    by_basis = _records_by_basis(records)
-    hv, da, rl = by_basis["HV"], by_basis["DA"], by_basis["RL"]
-    stokes = StokesVector(s0=hv.p0 + hv.p1,
-                          s1=da.p0 - da.p1,
-                          s2=rl.p0 - rl.p1,
-                          s3=hv.p0 - hv.p1)
-    rho = stokes_to_density(stokes)
-    ll = _frequency_log_likelihood(_bloch_weights(by_basis))
-    return TomographyResult(rho=rho, stokes=stokes, log_likelihood=ll,
-                            iterations=0, converged=True)
+    ordered = _bloch_records(records)
+    hv = ordered[BLOCH_AXES.index("HV")]
+    stokes = StokesVector(hv.p0 + hv.p1, *(r.p0 - r.p1 for r in ordered))
+    pairs = [r.weights for r in ordered]
+    return _result(stokes, _log_likelihood(pairs, _frequencies(pairs)), 0,
+                   True)
 
 
 def _axis_root(a: float, b: float, lam: float, x: float) -> float:
@@ -382,18 +374,18 @@ def mle_reconstruct(records) -> TomographyResult:
             `result` field holds the last iterate, pulled into the ball
             (converged=False).
     """
-    pairs = _bloch_weights(_records_by_basis(records))
+    pairs = [r.weights for r in _bloch_records(records)]
     for basis, (a, b) in zip(BLOCH_AXES, pairs):
         if a + b <= 0.0:
             raise ValueError(f"basis {basis}: both outcome weights are "
                              f"zero, so its Bloch component is unidentified")
-    # a basis sum past the float range is taken in quarters
-    x = [(a - b) / (a + b) if a + b < math.inf else
-         (0.25 * a - 0.25 * b) / (0.25 * a + 0.25 * b) for a, b in pairs]
+    freqs = _frequencies(pairs)
+    x = [(p_a - p_b) / n for p_a, p_b, n in freqs]
     r2 = sum(v * v for v in x)
     if r2 <= 1.0:
         # interior: the per-basis frequencies are the MLE
-        return _mle_result(x, _frequency_log_likelihood(pairs), 0, True)
+        return _result(StokesVector(1.0, *x), _log_likelihood(pairs, freqs),
+                       0, True)
 
     # scale by the 4^k that centres the binary exponents of each basis's
     # larger weight on 2^0, with no basis sum past 2^1000 (which would
@@ -441,20 +433,13 @@ def mle_reconstruct(records) -> TomographyResult:
     converged = abs(r2 - 1.0) <= _FATOL
     if r2 > 1.0:
         x = [v / math.sqrt(r2) for v in x]
-    result = _mle_result(x, _log_likelihood(pairs, x) / scale, steps,
-                         converged)
+    ll = _log_likelihood(pairs, [(1.0 + v, 1.0 - v, 2.0) for v in x])
+    result = _result(StokesVector(1.0, *x), ll / scale, steps, converged)
     if not converged:
         raise MleDivergenceError(
             f"MLE did not converge within {_MAX_STEPS} multiplier steps",
             result)
     return result
-
-
-def _mle_result(x, log_likelihood, iterations, converged) -> TomographyResult:
-    stokes = StokesVector(1.0, *x)
-    return TomographyResult(rho=stokes_to_density(stokes), stokes=stokes,
-                            log_likelihood=log_likelihood,
-                            iterations=iterations, converged=converged)
 
 
 def run_tomography_experiment(true_state: DensityMatrix, device: RpdcDevice,
