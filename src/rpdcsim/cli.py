@@ -56,17 +56,23 @@ def _expand_range(value, name):
         # the points are start + i*step for i = 0, 1, ... while that is
         # <= stop + 1e-12, and no more than MAX_RANGE_POINTS of them
         points, limit = [], stop + 1e-12
-        # a span of more than twice the cap in steps rejects at once: since
-        # rounding is monotone, the first MAX_RANGE_POINTS + 1 points are then
-        # all <= limit, so the stepping would reach the cap too. Halving both
-        # ends keeps the span finite; nearer the cap the stepping decides
-        if (limit / 2 - start / 2) / step > MAX_RANGE_POINTS:
+        # a span over the cap in steps, by a few ulp for the roundings of the
+        # quotient and of cap*step, rejects at once: rounding is monotone, so
+        # the first MAX_RANGE_POINTS + 1 points are then all <= limit and the
+        # stepping would reach the cap too. Halving both ends keeps the span
+        # finite; nearer the cap the stepping decides
+        if ((limit / 2 - start / 2) / step >
+                MAX_RANGE_POINTS / 2 * (1 + 4 * sys.float_info.epsilon)):
             raise ValueError(f"{name}: range has more than "
                              f"{MAX_RANGE_POINTS} points")
         while (point := start + len(points) * step) <= limit:
             if len(points) == MAX_RANGE_POINTS:
                 raise ValueError(f"{name}: range has more than "
                                  f"{MAX_RANGE_POINTS} points")
+            # as list values must: ends too large for the step repeat points
+            if points and point <= points[-1]:
+                raise ValueError(f"{name}: range points must strictly "
+                                 f"increase ({points[-1]} then {point})")
             points.append(point)
         return tuple(points)
     if isinstance(value, (list, tuple)):

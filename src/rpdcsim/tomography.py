@@ -56,6 +56,11 @@ BASIS_WAVEPLATES = {"HV": (0.0, 0.0), "DA": (45.0, 22.5), "RL": (0.0, 67.5)}
 # basis measuring each Bloch component (s1, s2, s3)
 BLOCH_AXES = ("DA", "RL", "HV")
 
+# numpy's Generator.poisson rejects a mean above about 9.22e18 (int64 max
+# less ten of its square roots); a port's mean is counts_per_basis times its
+# power, at most 1 at transmittance <= 1, so this leaves a factor of 9
+MAX_COUNTS_PER_BASIS = 1e18
+
 # cap on the safeguarded Newton steps of one per-axis solve; bisection
 # alone narrows (-1, 1) below 1e-16 in 55 steps
 _AXIS_STEPS = 100
@@ -111,7 +116,8 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """counts_per_basis = None keeps records noiseless (the default).
+    """counts_per_basis = None keeps records noiseless (the default);
+    otherwise it is a number in (0, MAX_COUNTS_PER_BASIS].
 
     seed, an integer >= 0, seeds the one generator of a record set.
     """
@@ -126,9 +132,11 @@ class NoiseConfig:
             raise ValueError(f"seed must be an integer >= 0, "
                              f"got {self.seed!r}")
         if self.counts_per_basis is not None and not (
-                0 < self.counts_per_basis <= sys.float_info.max):
-            raise ValueError("counts_per_basis must be a finite number > 0 "
-                             "or None")
+                0 < self.counts_per_basis <= MAX_COUNTS_PER_BASIS):
+            raise ValueError(f"counts_per_basis must be a finite number > 0 "
+                             f"and <= {MAX_COUNTS_PER_BASIS:g} (numpy's "
+                             f"Poisson limit) or None, got "
+                             f"{self.counts_per_basis!r}")
 
 
 @dataclass(frozen=True)

@@ -345,9 +345,10 @@ class TestTomography:
 
 
 class TestRanges:
-    # non-finite, vanishing or overflowing ranges: each must exit 2 at once
+    # non-finite, vanishing or overflowing ranges, and ends so large that
+    # the step repeats points: each must exit 2 at once
     BAD_SPECS = ("0:10:nan", "0:inf:1", "nan:1:0.1", "0:1:1e-12",
-                 "0:1e308:1e-300")
+                 "0:1e308:1e-300", "1e20:1e20:1")
 
     @pytest.mark.parametrize("spec", BAD_SPECS)
     def test_bad_range_exits_2(self, tmp_path, spec):
@@ -400,10 +401,10 @@ class TestRanges:
 
     @pytest.mark.parametrize("spec", [
         (0.0, 1.0, 1e-12), (0.0, 1e308, 1e-300), (-1e308, 1e308, 1.0),
-        (0.0, 2e6 + 1.0, 1.0), (1.0, 1.0, 1e-22)])
+        (0.0, 2e6 + 1.0, 1.0), (1.0, 1.0, 1e-22), (0.0, 1.5e6, 1.0)])
     def test_far_over_the_cap_rejects_at_once(self, spec):
-        # past twice the cap the span alone decides: no point is stepped to,
-        # so the rejection takes microseconds where stepping to the cap
+        # a few ulp past the cap the span alone decides: no point is stepped
+        # to, so the rejection takes microseconds where stepping to the cap
         # takes about half a second
         start = time.perf_counter()
         with pytest.raises(ValueError, match="more than"):
@@ -608,6 +609,9 @@ class TestConfigFieldTypes:
         '{"noise": {"counts_per_basis": Infinity}}',
         '{"noise": {"counts_per_basis": 1e400}}',
         '{"noise": {"counts_per_basis": ' + "9" * 400 + '}}',
+        # finite, but past numpy's Poisson limit
+        '{"noise": {"counts_per_basis": 1e300}}',
+        '{"noise": {"counts_per_basis": 1.0000000000000002e18}}',
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, text):
         code, err = self.run_config(tmp_path, capsys, text)
@@ -620,6 +624,7 @@ class TestConfigFieldTypes:
         '{"seed": ' + str(2 ** 70) + '}',
         '{"noise": {"counts_per_basis": 500}}',
         '{"noise": {"counts_per_basis": 2.5e3}}',
+        '{"noise": {"counts_per_basis": 1e18}}',
         '{"noise": {"counts_per_basis": null}}',
     ])
     def test_good_value_exits_0(self, tmp_path, capsys, text):

@@ -846,6 +846,21 @@ class TestRecordValidation:
         with pytest.raises(ValueError, match="finite"):
             NoiseConfig(counts_per_basis=rate)
 
+    def test_noise_config_rate_within_the_poisson_limit(self):
+        limit = tomography.MAX_COUNTS_PER_BASIS
+        for rate in (math.nextafter(limit, math.inf), 1e300):
+            with pytest.raises(ValueError, match="counts_per_basis .*1e[+]18"):
+                NoiseConfig(counts_per_basis=rate)
+        # at the limit, a state sent whole to one port draws its count at
+        # a mean of the limit; numpy takes means at least twice that
+        recs = measure_records(cardinal_density("H"), IDEAL_0,
+                               NoiseConfig(counts_per_basis=limit, seed=3))
+        assert max(r.p0 for r in recs) == pytest.approx(1.0, abs=1e-12)
+        assert max(max(r.counts) for r in recs) == pytest.approx(limit,
+                                                                  rel=1e-6)
+        assert mle_reconstruct(recs).converged
+        np.random.default_rng(0).poisson(2.0 * limit)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, 5.0, None, "3", True, False,
                                       np.float64(2.0), np.int64(-2)])
     def test_noise_config_seed(self, seed):
