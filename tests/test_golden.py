@@ -41,10 +41,6 @@ NUMPY_VERSION = "NUMPY_VERSION"
 NOISE_CONFIG = "tests/inputs/noise.json"
 
 
-def tomography(*args):
-    return ["tomography", *args]
-
-
 # golden entry: the README's command for it, without --out; paths are
 # relative to the root, since the config hash covers them as given
 GOLDEN_COMMANDS = {
@@ -56,20 +52,20 @@ GOLDEN_COMMANDS = {
                           "--lengths", "0:28.5:0.25"],
     "extinction.json": ["extinction", "--device", "data/device_45deg.json"],
     "find_axis.json": ["find-axis", "--alpha", "118", "--retardance", "2.3"],
-    "tomography_0deg": tomography("--device", "data/device_0deg.json"),
-    "tomography_45deg": tomography("--device", "data/device_45deg.json"),
-    "tomography_45deg_ideal": tomography(
-        "--device", "data/device_45deg_ideal.json"),
-    "tomography_45deg_noisy_seed0": tomography(
-        "--device", "data/device_45deg.json", "--config", NOISE_CONFIG,
-        "--seed", "0"),
-    "tomography_45deg_noisy_seed17": tomography(
-        "--device", "data/device_45deg.json", "--config", NOISE_CONFIG,
-        "--seed", "17"),
-    "tomography_records_powers": tomography(
-        "--records", "tests/inputs/records_powers.csv"),
-    "tomography_records_counts": tomography(
-        "--records", "tests/inputs/records_counts.csv"),
+    "tomography_0deg": ["tomography", "--device", "data/device_0deg.json"],
+    "tomography_45deg": ["tomography", "--device", "data/device_45deg.json"],
+    "tomography_45deg_ideal": ["tomography", "--device",
+                               "data/device_45deg_ideal.json"],
+    "tomography_45deg_noisy_seed0": ["tomography", "--device",
+                                     "data/device_45deg.json",
+                                     "--config", NOISE_CONFIG, "--seed", "0"],
+    "tomography_45deg_noisy_seed17": ["tomography", "--device",
+                                      "data/device_45deg.json", "--config",
+                                      NOISE_CONFIG, "--seed", "17"],
+    "tomography_records_powers": ["tomography", "--records",
+                                  "tests/inputs/records_powers.csv"],
+    "tomography_records_counts": ["tomography", "--records",
+                                  "tests/inputs/records_counts.csv"],
 }
 
 
