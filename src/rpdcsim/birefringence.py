@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +233,17 @@ def crossed_polarizer_transmission(r: RotatedRetarder,
     return _crossed_power(retarder_jones(r).tolist(), pol_angle_deg)
 
 
+def _centred(v: list) -> list:
+    """v minus its mean, as a list of Python floats."""
+    mean = sum(v) / len(v)
+    return [x - mean for x in v]
+
+
+def _dot(u: list, v: list) -> float:
+    """sum u_i v_i of two lists of Python floats."""
+    return sum(map(operator.mul, u, v))
+
+
 def fit_axis(angles_deg, powers) -> tuple:
     """Axis (mod 90, in [0, 90)) and contrast C of a crossed-polarizer trace.
 
@@ -248,7 +260,8 @@ def fit_axis(angles_deg, powers) -> tuple:
 
     Raises:
         ValueError: the arrays are not 1-D of one length >= 3, hold a
-            non-finite value, or their angles do not determine the fit.
+            non-finite value, their angles do not determine the fit, or the
+            fit of powers near the float limit overflows.
         AxisUnobservableError: the fitted C is zero within rounding, so the
             trace carries no axis signal.
     """
@@ -257,23 +270,31 @@ def fit_axis(angles_deg, powers) -> tuple:
     if p.ndim != 1 or p.shape != y.shape or len(p) < 3:
         raise ValueError("angles and powers must be 1-D arrays of one length "
                          f">= 3, got shapes {p.shape} and {y.shape}")
-    if not (np.isfinite(p).all() and np.isfinite(y).all()):
+    ps, ys = p.tolist(), y.tolist()
+    if not all(map(math.isfinite, ps + ys)):
         raise ValueError("angles and powers must be finite")
-    # the normal equations with c0 eliminated by centering every column;
-    # explicit sums keep BLAS and LAPACK, and their buffers, out of the fit
-    four_p = np.radians(4.0 * p)
-    c, s, dy = (v - v.mean() for v in (np.cos(four_p), np.sin(four_p), y))
-    scc, sss, scs = (c * c).sum(), (s * s).sum(), (c * s).sum()
+    # the normal equations with c0 eliminated by centering every column, in
+    # Python floats: a trace has few angles, and numpy's cost per call
+    # would outweigh the arithmetic
+    n = len(ps)
+    four_p = [math.radians(4.0 * a) for a in ps]
+    c = _centred([math.cos(a) for a in four_p])
+    s = _centred([math.sin(a) for a in four_p])
+    dy = _centred(ys)
+    scc, sss, scs = _dot(c, c), _dot(s, s), _dot(c, s)
     det = scc * sss - scs * scs
     # det/N^2 lies in [0, 1/4]; 1/4 for angles spread evenly mod 90
-    if not det > 1e-9 * len(p) ** 2:
+    if not det > 1e-9 * n ** 2:
         raise ValueError("the angles do not determine the fit: need at "
                          "least three angles distinct mod 90 degrees")
-    scy, ssy = (c * dy).sum(), (s * dy).sum()
-    c1 = float(sss * scy - scs * ssy) / det
-    c2 = float(scc * ssy - scs * scy) / det
+    scy, ssy = _dot(c, dy), _dot(s, dy)
+    c1 = (sss * scy - scs * ssy) / det
+    c2 = (scc * ssy - scs * scy) / det
     contrast = 2.0 * math.hypot(c1, c2)
-    if contrast <= 1e-12 * float(np.abs(y).max()):
+    if not contrast < math.inf:
+        raise ValueError("the fit overflows the float range: powers up to "
+                         f"{max(map(abs, ys))} are too large")
+    if contrast <= 1e-12 * max(map(abs, ys)):
         raise AxisUnobservableError(
             "fitted crossed-polarizer contrast is zero within rounding; "
             "the trace carries no axis signal")

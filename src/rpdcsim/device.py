@@ -157,17 +157,19 @@ class PortPowers:
     r_fast: float
 
 
-def _axis_powers(dev: RpdcDevice, length_mm: float) -> tuple:
+def _axis_powers(dev: RpdcDevice, length_mm) -> tuple:
     """(sin^2 s, sin^2 f, cos^2 s, cos^2 f) of s, f = k_axis Z + bend phase.
 
     The unit-input, loss-free port powers of each axis's coupler at length
     Z: cross then bar, slow then fast. They are the squared moduli of the
-    entries of `coupler_transfer_matrix`, so no matrix is built.
+    entries of `coupler_transfer_matrix`, so no matrix is built. Z is one
+    length or an array of them; numpy evaluates the powers elementwise, so
+    one length gives numpy scalars.
     """
     s = dev.k_slow_rad_per_mm * length_mm + dev.bend_phase_slow_rad
     f = dev.k_fast_rad_per_mm * length_mm + dev.bend_phase_fast_rad
-    return (math.sin(s) ** 2, math.sin(f) ** 2,
-            math.cos(s) ** 2, math.cos(f) ** 2)
+    sin_s, sin_f, cos_s, cos_f = np.sin(s), np.sin(f), np.cos(s), np.cos(f)
+    return sin_s * sin_s, sin_f * sin_f, cos_s * cos_s, cos_f * cos_f
 
 
 def axis_port_powers(dev: RpdcDevice) -> PortPowers:
@@ -175,10 +177,12 @@ def axis_port_powers(dev: RpdcDevice) -> PortPowers:
 
     Both ports are diagonal over (slow, fast) in the device frame, so an
     axis-aligned input leaves each port with t^2 times the squared modulus
-    of that axis's coupler entry: sin^2 for port T, cos^2 for port R.
+    of that axis's coupler entry: sin^2 for port T, cos^2 for port R. The
+    powers are Python floats.
     """
     t2 = dev.amplitude_transmittance ** 2
-    return PortPowers(*(t2 * p for p in _axis_powers(dev, dev.length_mm)))
+    return PortPowers(*(float(t2 * p)
+                        for p in _axis_powers(dev, dev.length_mm)))
 
 
 def extinction_db(p_num: float, p_den: float) -> float:
@@ -224,6 +228,23 @@ def _label_for_angle(angle_deg: float) -> str:
     return ""
 
 
+def _straight_region(dev: RpdcDevice) -> list:
+    """Jones matrix of the straight region as nested lists of Python complex.
+
+    The rotated retarder of `simulate_axis_check`, built once per device
+    object and kept on it; a device made by `with_length` or
+    `dataclasses.replace` builds its own.
+    """
+    memo = getattr(dev, "_region_memo", None)
+    if memo is None:
+        half = 0.5j * dev.retardance_rad
+        t = dev.amplitude_transmittance
+        memo = rotated_diagonal(dev.alpha_deg, t * cmath.exp(half),
+                                t * cmath.exp(-half)).tolist()
+        object.__setattr__(dev, "_region_memo", memo)
+    return memo
+
+
 def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     """Send one linear cardinal state through the rotated straight region.
 
@@ -234,19 +255,21 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     vector of the pure output field (e_h, e_v) of power p is
     (p, 2 Re(e_h e_v*), -2 Im(e_h e_v*), |e_h|^2 - |e_v|^2) / p, the Stokes
     vector of its projector. The visibility is the power balance between
-    e and e + 90, s3 cos 2e + s1 sin 2e.
+    e and e + 90, s3 cos 2e + s1 sin 2e. The region's Jones matrix is built
+    on the first call for a device object and kept on it
+    (`_straight_region`); each call applies it to the input field in
+    complex scalars.
     """
     if input_label not in _LINEAR_ANGLES:
         raise ValueError(f"input_label must be one of "
                          f"{', '.join(_LINEAR_ANGLES)}, got {input_label!r}")
     theta_in = _LINEAR_ANGLES[input_label]
-    a = dev.alpha_deg
-    half = 0.5j * dev.retardance_rad
-    t = dev.amplitude_transmittance
-    region = rotated_diagonal(a, t * cmath.exp(half), t * cmath.exp(-half))
-    e_h, e_v = (region @ cardinal_state(input_label).as_array()).tolist()
+    (r_hh, r_hv), (r_vh, r_vv) = _straight_region(dev)
+    state = cardinal_state(input_label)
+    x, y = complex(state.e_h), complex(state.e_v)
+    e_h, e_v = r_hh * x + r_hv * y, r_vh * x + r_vv * y
 
-    expected_angle = (2.0 * a - theta_in) % 180.0
+    expected_angle = (2.0 * dev.alpha_deg - theta_in) % 180.0
     jones = JonesVector(e_h, e_v)
     p_h, p_v = abs(e_h) ** 2, abs(e_v) ** 2
     p = p_h + p_v
@@ -293,20 +316,28 @@ def sweep_coupling_length(dev: RpdcDevice, lengths_mm) -> list:
 
     Bend phases stay fixed while the straight length varies; powers are
     normalized to unit input with the transmittance divided out, so the
-    cross-port traces are sin^2(K Z + phi) per axis.
+    cross-port traces are sin^2(K Z + phi) per axis. `lengths_mm` is any
+    iterable of numbers; `_axis_powers` evaluates the whole grid in one
+    numpy pass, and each row is a `SweepPoint` of Python floats.
+
+    Raises:
+        ValueError: naming the first length, in input order, that is not
+            finite and >= 0, or whose phase k * length + bend phase
+            overflows on an axis.
     """
-    points = []
-    for z in lengths_mm:
-        z = float(z)
-        if not 0 <= z < math.inf:
-            raise ValueError(f"lengths must be finite and >= 0, got {z}")
-        try:
-            powers = _axis_powers(dev, z)
-        except ValueError:  # math.sin of an infinite phase
-            raise ValueError(f"length {z} mm overflows the phase k * "
-                             "length + bend phase of an axis") from None
-        points.append(SweepPoint(z, *powers))
-    return points
+    z = np.fromiter(lengths_mm, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _axis_powers(dev, z)
+    # an infinite or NaN length, or an overflowing phase, makes sin^2 NaN
+    bad = np.flatnonzero(~(z >= 0) | np.isnan(powers[0] + powers[1]))
+    if bad.size:
+        first = float(z[bad[0]])
+        if not 0 <= first < math.inf:
+            raise ValueError(f"lengths must be finite and >= 0, got {first}")
+        raise ValueError(f"length {first} mm overflows the phase k * length "
+                         "+ bend phase of an axis")
+    return list(map(SweepPoint._make,
+                    zip(z.tolist(), *(p.tolist() for p in powers))))
 
 
 def device_to_dict(dev: RpdcDevice) -> dict:

@@ -299,11 +299,17 @@ def linear_reconstruct(records) -> TomographyResult:
     Bloch ball; the result is returned as-is (check `.physical`) and the
     reported Stokes vector keeps the raw measured powers. The
     log-likelihood is that of each basis's own frequencies, the linear
-    estimate whenever every basis carries the same total power.
+    estimate whenever every basis carries the same total power. HV powers
+    whose sum s0 is past the float range are rejected, naming the basis
+    and its powers; `mle_reconstruct` solves such records.
     """
     ordered = _bloch_records(records)
     hv = ordered[BLOCH_AXES.index("HV")]
-    stokes = StokesVector(hv.p0 + hv.p1, *(r.p0 - r.p1 for r in ordered))
+    s0 = hv.p0 + hv.p1
+    if s0 == math.inf:
+        raise ValueError(f"basis HV: powers {hv.p0} and {hv.p1} sum past the "
+                         "float range, so s0 is not finite")
+    stokes = StokesVector(s0, *(r.p0 - r.p1 for r in ordered))
     pairs = [r.weights for r in ordered]
     return _result(stokes, _log_likelihood(pairs, _frequencies(pairs)), 0,
                    True)

@@ -483,6 +483,30 @@ class TestFitAxis:
             assert contrast == pytest.approx(
                 t ** 2 * math.sin(delta / 2) ** 2, abs=1e-13)
 
+    def test_matches_least_squares_oracle(self):
+        # oracle: numpy's least-squares solve on the design matrix
+        # [1, cos 4p, sin 4p], not the centred normal equations of the fit;
+        # random grids of 3 to 256 angles, Gaussian noise of a tenth of C
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            n = int(rng.integers(3, 257))
+            angles = rng.uniform(-90, 270, size=n)
+            alpha = rng.uniform(0, 180)
+            delta = rng.uniform(0.5, 2 * math.pi - 0.5)
+            t = rng.uniform(0.5, 1.0)
+            c = t ** 2 * math.sin(delta / 2) ** 2
+            powers = (np.array(closed_form_trace(alpha, delta, t, angles))
+                      + rng.normal(0.0, 0.1 * c, n))
+            four_p = np.radians(4.0 * angles)
+            design = np.column_stack([np.ones(n), np.cos(four_p),
+                                      np.sin(four_p)])
+            (_, c1, c2), *_ = np.linalg.lstsq(design, powers, rcond=None)
+            found, contrast = fit_axis(angles, powers)
+            assert axis_error(
+                found, math.degrees(math.atan2(-c2, -c1)) / 4.0) < 1e-12
+            assert contrast == pytest.approx(2.0 * math.hypot(c1, c2),
+                                             abs=1e-12)
+
     def test_find_axis_is_the_fit_of_its_samples(self):
         r = RotatedRetarder(118.0, 1.9, 0.9)
         trace = [crossed_polarizer_transmission(r, p) for p in self.ORTHOGONAL]
@@ -526,3 +550,7 @@ class TestFitAxis:
             fit_axis([0, 10], [0.1, 0.2])
         with pytest.raises(ValueError, match="distinct mod 90"):
             fit_axis([5, 95, 185, 30], [0.1, 0.1, 0.1, 0.4])
+        # finite powers whose sums overflow: no NaN axis or contrast
+        for powers in ([1e308, 0.0, 1e308], [1e308, -1e308, 1e308]):
+            with pytest.raises(ValueError, match="overflows the float range"):
+                fit_axis([0, 30, 60], powers)

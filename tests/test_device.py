@@ -339,6 +339,32 @@ class TestAxisCheck:
         with pytest.raises(ValueError):
             simulate_axis_check(ideal_device(), "R")
 
+    def test_region_kept_on_the_device_never_goes_stale(self):
+        # the region is kept on the device object after its first use; a
+        # device derived from it must build its own, and give what a device
+        # built fresh from the same fields gives, bit for bit
+        def checks(dev):
+            return [repr(simulate_axis_check(dev, label)) for label in "HVDA"]
+
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            dev = random_device(rng)
+            first = checks(dev)
+            assert checks(dev) == first
+            derived = (
+                dev.with_length(dev.length_mm + 1.0),
+                dataclasses.replace(dev, alpha_deg=(dev.alpha_deg + 30.0)
+                                    % 180.0),
+                dataclasses.replace(dev, retardance_rad=dev.retardance_rad
+                                    + 0.5))
+            for i, other in enumerate(derived):
+                got = checks(other)
+                assert got == checks(RpdcDevice(*dataclasses.astuple(other)))
+                # a new length leaves the region as it was; a new axis or
+                # retardance changes it
+                assert (got == first) == (i == 0)
+            assert checks(dev) == first
+
 
 class TestSweep:
     def test_zero_length_row(self):
@@ -386,6 +412,18 @@ class TestSweep:
         (pt,) = sweep_coupling_length(lossy, [23.0])
         assert pt.p_t_slow == pytest.approx(1.0, abs=1e-12)
 
+    def test_any_iterable_of_lengths(self):
+        dev = random_device(np.random.default_rng(48))
+        lengths = [0.0, 2.5, 23.0, 31.75, 1e6]
+        want = sweep_coupling_length(dev, lengths)
+        assert all(type(v) is float for pt in want for v in pt)
+        for given in (tuple(lengths), np.array(lengths),
+                      (z for z in lengths)):
+            got = sweep_coupling_length(dev, given)
+            assert [tuple(pt) for pt in got] == [tuple(pt) for pt in want]
+            assert all(type(v) is float for pt in got for v in pt)
+        assert sweep_coupling_length(dev, []) == []
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             sweep_coupling_length(ideal_device(), [-1.0])
@@ -400,6 +438,18 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"length 1e\+308 mm overflows "
                                              "the phase"):
             sweep_coupling_length(dev, [1.0, 1e308, 2.0])
+
+    @pytest.mark.parametrize("lengths, message", [
+        ([-1.0, 1e308], r"^lengths must be finite and >= 0, got -1\.0$"),
+        ([1.0, 1e308, -1.0], r"^length 1e\+308 mm overflows the phase"),
+        ([2.0, math.nan, 1e308], r"^lengths must be finite and >= 0, got "
+                                 "nan$"),
+    ])
+    def test_first_bad_length_in_input_order_named(self, lengths, message):
+        # 1e308 overflows the phase of the 10 rad/mm slow axis
+        dev = make_pdc_device(45.0, 10.0, 0.1, 1.0)
+        with pytest.raises(ValueError, match=message):
+            sweep_coupling_length(dev, lengths)
 
     def test_points_are_immutable_rows(self):
         rng = np.random.default_rng(45)

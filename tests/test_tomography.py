@@ -686,7 +686,8 @@ class TestMleReconstruct:
         # HV's sum 1.9e308 overflows; taken in quarters, its frequencies are
         # 1/1.9 and 0.9/1.9, so s3 = 0.1/1.9 and the log-likelihood is
         # finite, from powers or from counts of the same weights. Linear
-        # inversion takes counts only: these powers overflow its s0
+        # inversion takes counts only: these powers overflow its s0, so it
+        # rejects them by basis and powers
         want = (1e308 * math.log(1 / 1.9) + 9e307 * math.log(0.9 / 1.9)
                 - 4 * math.log(2))
         powers = (MeasurementRecord("HV", 1e308, 9e307),
@@ -703,6 +704,10 @@ class TestMleReconstruct:
         for ll in (res.log_likelihood, mle_reconstruct(counts).log_likelihood,
                    linear_reconstruct(counts).log_likelihood):
             assert ll == pytest.approx(want, rel=1e-15)
+        with pytest.raises(ValueError, match=r"^basis HV: powers 1e\+308 and "
+                                             r"9e\+307 sum past the float "
+                                             "range"):
+            linear_reconstruct(powers)
 
     def test_weights_scaled_by_a_power_of_four_solve_alike(self):
         # a boundary solve scales its weights by a power of four: the state
