@@ -2,11 +2,14 @@
 
 The device, config, calibration and records loaders all read through
 here, so every malformed file surfaces as a ValueError that names the
-file, the line or the field, and never as an internal error.
+file, the line or the field, and never as an internal error. The
+dataclasses that hold such numbers check them finite here too.
 """
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import json
 import sys
 
@@ -46,6 +49,14 @@ def read_number(value, what: str) -> float:
             and abs(value) <= sys.float_info.max):
         return float(value)
     raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def check_finite(obj) -> None:
+    """Each field of the dataclass `obj` is a finite real or complex number."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not cmath.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def read_csv(path, headers, parse_row) -> tuple:

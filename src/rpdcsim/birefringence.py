@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import read_csv
+from ._files import check_finite, read_csv
 from .polarization import rotated_diagonal
 
 NM_PER_MM = 1e6
@@ -48,10 +48,7 @@ class RotatedRetarder:
     amplitude_transmittance: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.alpha_deg,
-                                              self.retardance_rad,
-                                              self.amplitude_transmittance)):
-            raise ValueError("retarder parameters must be finite")
+        check_finite(self)
         _check_retarder(self)
 
     @property

@@ -25,6 +25,7 @@ from .birefringence import (
     load_axis_calibration,
 )
 from .device import extinction_ratios, load_device, sweep_coupling_length
+from .polarization import CARDINAL_LABELS
 from .tomography import (
     MleDivergenceError,
     NoiseConfig,
@@ -37,8 +38,6 @@ from .tomography import (
 
 NOISE_FIELDS = ("counts_per_basis",)
 RANGE_FIELDS = ("start", "stop", "step")
-
-TOMOGRAPHY_STATES = ("H", "V", "D", "A", "R", "L")
 
 MAX_RANGE_POINTS = 10 ** 6
 
@@ -227,7 +226,11 @@ def cmd_coupler_sweep(cfg, args, meta: dict, out_dir: Path) -> None:
     device_path = _require(cfg.device, "--device", "coupler-sweep")
     lengths = _require(cfg.lengths_mm, "--lengths", "coupler-sweep")
     device = load_device(device_path)
-    points = sweep_coupling_length(device, lengths)
+    try:
+        points = sweep_coupling_length(device, lengths)
+    except ValueError as exc:
+        # the device's own error, naming its file as load_device does
+        raise ValueError(f"{device_path}: {exc}") from None
     rows = [f"{p.length_mm!r},{p.p_t_slow!r},{p.p_t_fast!r}"
             for p in points]
     path = out_dir / "coupler_sweep.csv"
@@ -257,10 +260,10 @@ def cmd_tomography(cfg, args, meta: dict, out_dir: Path) -> None:
     device_path = _require(cfg.device, "--device", "tomography")
     device = load_device(device_path)
     fid_rows = []
-    for idx, label in enumerate(TOMOGRAPHY_STATES):
+    for idx, label in enumerate(CARDINAL_LABELS):
         # state i at run seed s draws from seed 6 s + i: no shared streams
         noise = NoiseConfig(counts_per_basis=cfg.counts_per_basis,
-                            seed=len(TOMOGRAPHY_STATES) * cfg.seed + idx)
+                            seed=len(CARDINAL_LABELS) * cfg.seed + idx)
         true_state = cardinal_density(label)
         fid, result = run_tomography_experiment(true_state, device, noise)
         _write_json(out_dir / f"tomography_{label}.json",

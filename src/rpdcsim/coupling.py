@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import check_finite
+
 SYMMETRY_TOL = 1e-12
 DEFAULT_STEP_MM = 1e-3
 
@@ -44,10 +46,7 @@ class CouplerParams:
     bend_phase_rad: float = 0.0
 
     def __post_init__(self):
-        vals = (self.beta1, self.beta2, self.k12, self.k21,
-                self.length_mm, self.bend_phase_rad)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("coupler parameters must be finite")
+        check_finite(self)
         if self.length_mm < 0:
             raise ValueError(f"length_mm must be >= 0, got {self.length_mm}")
 
@@ -71,8 +70,7 @@ class ModeAmplitudes:
     a2: complex
 
     def __post_init__(self):
-        if not (np.isfinite(self.a1) and np.isfinite(self.a2)):
-            raise ValueError("mode amplitudes must be finite")
+        check_finite(self)
 
     @property
     def power(self) -> float:

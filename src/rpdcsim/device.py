@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._files import check_fields, read_json, read_number
+from ._files import check_fields, check_finite, read_json, read_number
 from .birefringence import _check_retarder
 from .coupling import CouplerParams, coupler_transfer_matrix
 from .polarization import (
@@ -72,10 +73,7 @@ class RpdcDevice:
     retardance_rad: float = 0.0
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_finite(self)
         _check_retarder(self)
         if self.length_mm < 0:
             raise ValueError(f"length_mm must be >= 0, got {self.length_mm}")
@@ -110,6 +108,19 @@ class RpdcDevice:
 
     def with_length(self, length_mm: float) -> "RpdcDevice":
         return dataclasses.replace(self, length_mm=length_mm)
+
+    @functools.cached_property
+    def _straight_region(self) -> list:
+        """The straight region's Jones matrix, nested lists of Python complex.
+
+        The rotated retarder of `simulate_axis_check`, built once per device
+        object and kept on it; a device made by `with_length` or
+        `dataclasses.replace` builds its own.
+        """
+        half = 0.5j * self.retardance_rad
+        t = self.amplitude_transmittance
+        return rotated_diagonal(self.alpha_deg, t * cmath.exp(half),
+                                t * cmath.exp(-half)).tolist()
 
 
 def make_pdc_device(alpha_deg: float, k_slow: float, k_fast: float,
@@ -228,23 +239,6 @@ def _label_for_angle(angle_deg: float) -> str:
     return ""
 
 
-def _straight_region(dev: RpdcDevice) -> list:
-    """Jones matrix of the straight region as nested lists of Python complex.
-
-    The rotated retarder of `simulate_axis_check`, built once per device
-    object and kept on it; a device made by `with_length` or
-    `dataclasses.replace` builds its own.
-    """
-    memo = getattr(dev, "_region_memo", None)
-    if memo is None:
-        half = 0.5j * dev.retardance_rad
-        t = dev.amplitude_transmittance
-        memo = rotated_diagonal(dev.alpha_deg, t * cmath.exp(half),
-                                t * cmath.exp(-half)).tolist()
-        object.__setattr__(dev, "_region_memo", memo)
-    return memo
-
-
 def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     """Send one linear cardinal state through the rotated straight region.
 
@@ -257,14 +251,14 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     vector of its projector. The visibility is the power balance between
     e and e + 90, s3 cos 2e + s1 sin 2e. The region's Jones matrix is built
     on the first call for a device object and kept on it
-    (`_straight_region`); each call applies it to the input field in
-    complex scalars.
+    (`RpdcDevice._straight_region`); each call applies it to the input
+    field in complex scalars.
     """
     if input_label not in _LINEAR_ANGLES:
         raise ValueError(f"input_label must be one of "
                          f"{', '.join(_LINEAR_ANGLES)}, got {input_label!r}")
     theta_in = _LINEAR_ANGLES[input_label]
-    (r_hh, r_hv), (r_vh, r_vv) = _straight_region(dev)
+    (r_hh, r_hv), (r_vh, r_vv) = dev._straight_region
     state = cardinal_state(input_label)
     x, y = complex(state.e_h), complex(state.e_v)
     e_h, e_v = r_hh * x + r_hv * y, r_vh * x + r_vv * y
@@ -321,21 +315,17 @@ def sweep_coupling_length(dev: RpdcDevice, lengths_mm) -> list:
     numpy pass, and each row is a `SweepPoint` of Python floats.
 
     Raises:
-        ValueError: naming the first length, in input order, that is not
-            finite and >= 0, or whose phase k * length + bend phase
-            overflows on an axis.
+        ValueError: what `dev.with_length` raises for the first length, in
+            input order, that is not finite and >= 0 or overflows a phase.
     """
     z = np.fromiter(lengths_mm, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = _axis_powers(dev, z)
-    # an infinite or NaN length, or an overflowing phase, makes sin^2 NaN
+    # the lengths the device rejects: negative or NaN, or with sin^2 NaN
+    # (an infinite phase); with_length raises its error for the first
     bad = np.flatnonzero(~(z >= 0) | np.isnan(powers[0] + powers[1]))
     if bad.size:
-        first = float(z[bad[0]])
-        if not 0 <= first < math.inf:
-            raise ValueError(f"lengths must be finite and >= 0, got {first}")
-        raise ValueError(f"length {first} mm overflows the phase k * length "
-                         "+ bend phase of an axis")
+        dev.with_length(float(z[bad[0]]))
     return list(map(SweepPoint._make,
                     zip(z.tolist(), *(p.tolist() for p in powers))))
 

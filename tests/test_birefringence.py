@@ -52,6 +52,15 @@ class TestRotatedRetarder:
         with pytest.raises(ValueError):
             RotatedRetarder(0.0, 1.0, amplitude_transmittance=1.5)
 
+    @pytest.mark.parametrize("field", [f.name for f in
+                                       dataclasses.fields(RotatedRetarder)])
+    def test_non_finite_field_rejected(self, field):
+        good = RotatedRetarder(30.0, 1.9, 0.9)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be finite, got {bad}$"):
+                dataclasses.replace(good, **{field: bad})
+
     def test_slow_axis(self):
         assert RotatedRetarder(30.0, 1.0).slow_axis_deg == 120.0
         assert RotatedRetarder(120.0, 1.0).slow_axis_deg == 30.0

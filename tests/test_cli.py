@@ -1,5 +1,7 @@
 """Harness integration: artifacts, headers, determinism, exit codes."""
 
+import collections
+import itertools
 import json
 import math
 import os
@@ -440,6 +442,20 @@ class TestFindAxis:
         assert code == 2
         assert "waves" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--alpha", "alpha_deg"), ("--retardance", "retardance_rad"),
+        ("--transmittance", "amplitude_transmittance")])
+    def test_non_finite_argument_named(self, tmp_path, capsys, flag, field):
+        for bad in ("nan", "inf"):
+            args = {"--alpha": "30", "--retardance": "1.9",
+                    "--transmittance": "0.9", flag: bad}
+            code = main(["find-axis", *itertools.chain(*args.items()),
+                         "--out", str(tmp_path)])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: {field} must be finite, got {bad}\n")
+        assert not (tmp_path / "find_axis.json").exists()
+
 
 class TestHarnessContracts:
     def test_all_artifacts_byte_identical_across_runs(self, tmp_path):
@@ -754,6 +770,47 @@ class TestConfigFuzz:
         assert codes[0] > 8 and codes[2] > 100
 
 
+class TestDeviceFileFuzz:
+    """Pairs of device fields set to edge values exit 0 or 2 naming the file.
+
+    The pool holds a zero, a negative, a subnormal, a value whose square
+    underflows, values near the float limit and an angle out of range. The
+    sweep's last length overflows the phase of a large coupling constant.
+    """
+
+    POOL = (0, -1, 1e-320, 1e-161, 1e300, 1.7e308, 180)
+    COMMANDS = (["extinction"], ["tomography"],
+                ["coupler-sweep", "--lengths", "0,23,1e300"])
+
+    def cases(self, rng):
+        """Each field pair takes each pool value in both places, at a seeded
+        offset between the two, so 196 devices; each runs every command."""
+        fields = json.loads(Path(SHIPPED_DEVICE).read_text())
+        n = len(self.POOL)
+        for f1, f2 in itertools.combinations(fields, 2):
+            shift = int(rng.integers(n))
+            for i, value in enumerate(self.POOL):
+                device = dict(fields, **{f1: value,
+                                         f2: self.POOL[(i + shift) % n]})
+                for command in self.COMMANDS:
+                    yield command, device
+
+    def test_field_pairs_exit_0_or_2_naming_the_file(self, tmp_path, capsys):
+        dev = tmp_path / "dev.json"
+        codes = collections.Counter()
+        for command, device in self.cases(np.random.default_rng(19)):
+            dev.write_text(json.dumps(device))
+            code = main(command + ["--device", str(dev), "--out",
+                                   str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (command[0], device, err)
+            assert code == 0 or err.startswith(f"error: {dev}: "), (
+                command[0], device, err)
+            codes[command[0], code] += 1
+        assert sum(codes.values()) == 28 * 7 * 3
+        assert min(codes.values()) > 50, codes
+
+
 class TestMalformedFiles:
     """A malformed input file exits 2 with an error naming it or its field."""
 
@@ -836,7 +893,11 @@ class TestMalformedFiles:
         assert main(["coupler-sweep", "--device", str(dev), "--lengths",
                      "1,1e308", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: length 1e+308 mm overflows"), err
+        assert err == (
+            f"error: {dev}: phase k_slow_rad_per_mm * length_mm + "
+            "bend_phase_slow_rad overflows: k_slow_rad_per_mm 10.0, length_mm "
+            f"1e+308, bend_phase_slow_rad {fields['bend_phase_slow_rad']}\n")
+        assert not (tmp_path / "coupler_sweep.csv").exists()
 
     def test_records_not_utf8(self, tmp_path, capsys):
         rec_csv = tmp_path / "records.csv"

@@ -1,5 +1,6 @@
 """Coupled-mode propagation: analytic law, RK4 oracle, splitting ratios."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,25 @@ class TestParams:
     def test_nonfinite_amplitudes(self):
         with pytest.raises(ValueError):
             ModeAmplitudes(np.inf, 0.0)
+
+    @pytest.mark.parametrize("field", [f.name for f in
+                                       dataclasses.fields(CouplerParams)])
+    def test_non_finite_field_rejected(self, field):
+        good = CouplerParams(0.5, 0.5, 0.2, 0.2, 23.0, 1.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be finite, got {bad}$"):
+                dataclasses.replace(good, **{field: bad})
+
+    @pytest.mark.parametrize("field", [f.name for f in
+                                       dataclasses.fields(ModeAmplitudes)])
+    def test_non_finite_amplitude_rejected(self, field):
+        good = ModeAmplitudes(0.6 + 0.1j, -0.2j)
+        for bad in (complex(math.nan, 0.0), complex(0.0, math.inf),
+                    complex(-math.inf, 1.0), math.nan, np.inf):
+            with pytest.raises(ValueError) as info:
+                dataclasses.replace(good, **{field: bad})
+            assert str(info.value) == f"{field} must be finite, got {bad}"
 
 
 class TestAnalytic:

@@ -1,8 +1,10 @@
 """Composed RPDC behavior: routing, extinction, axis checks, sweeps, files."""
 
+import collections
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,12 @@ def power(field):
 
 def shipped_device():
     return load_device("data/device_45deg.json")
+
+
+# the device's error for a length of 1e308 mm on a 10 rad/mm slow axis
+SLOW_OVERFLOW = ("phase k_slow_rad_per_mm * length_mm + bend_phase_slow_rad "
+                 "overflows: k_slow_rad_per_mm 10.0, length_mm 1e+308, "
+                 "bend_phase_slow_rad 0.0")
 
 
 def random_device(rng):
@@ -425,31 +433,102 @@ class TestSweep:
         assert sweep_coupling_length(dev, []) == []
 
     def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             sweep_coupling_length(ideal_device(), [-1.0])
+        assert str(info.value) == "length_mm must be >= 0, got -1.0"
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_bad_length_rejected(self, z):
-        with pytest.raises(ValueError, match="lengths"):
+        with pytest.raises(ValueError) as info:
             sweep_coupling_length(ideal_device(), [1.0, z])
+        assert str(info.value) == f"length_mm must be finite, got {z}"
 
     def test_overflowing_length_named(self):
         dev = make_pdc_device(45.0, 10.0, 0.1, 1.0)
-        with pytest.raises(ValueError, match=r"length 1e\+308 mm overflows "
-                                             "the phase"):
+        with pytest.raises(ValueError) as info:
             sweep_coupling_length(dev, [1.0, 1e308, 2.0])
+        assert str(info.value) == SLOW_OVERFLOW
 
     @pytest.mark.parametrize("lengths, message", [
-        ([-1.0, 1e308], r"^lengths must be finite and >= 0, got -1\.0$"),
-        ([1.0, 1e308, -1.0], r"^length 1e\+308 mm overflows the phase"),
-        ([2.0, math.nan, 1e308], r"^lengths must be finite and >= 0, got "
-                                 "nan$"),
-    ])
+        ([-1.0, 1e308], "length_mm must be >= 0, got -1.0"),
+        ([1.0, 1e308, -1.0], SLOW_OVERFLOW),
+        ([2.0, math.nan, 1e308], "length_mm must be finite, got nan"),
+    ], ids=["negative-first", "overflow-first", "nan-first"])
     def test_first_bad_length_in_input_order_named(self, lengths, message):
         # 1e308 overflows the phase of the 10 rad/mm slow axis
         dev = make_pdc_device(45.0, 10.0, 0.1, 1.0)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as info:
             sweep_coupling_length(dev, lengths)
+        assert str(info.value) == message
+
+    def test_rejects_exactly_what_the_device_rejects(self):
+        # oracle: the device's own rules. A sweep over [z] raises exactly
+        # when dev.with_length(z) does, with its message; a list raises the
+        # message of its first such length. Devices and lengths span the
+        # float range, so phases overflow on the slow axis, on the fast
+        # axis alone, or not at all
+        rng = np.random.default_rng(49)
+
+        def magnitude():
+            return float(rng.choice([0.0, 10.0 ** rng.uniform(-3, 2),
+                                     10.0 ** rng.uniform(2, 308),
+                                     sys.float_info.max * rng.uniform()]))
+
+        def device():
+            while True:
+                k_fast = magnitude()
+                k_slow = k_fast * float(1.0 + rng.choice([0.0, rng.uniform()]))
+                # slow then fast; a fast bend far above the slow one lets
+                # the fast phase alone overflow
+                bends = (magnitude() * float(rng.choice([-1.0, 1.0])),
+                         magnitude())
+                try:
+                    return RpdcDevice(rng.uniform(0, 180), k_slow, k_fast,
+                                      rng.uniform(0, 40), *bends,
+                                      rng.uniform(0.2, 1.0),
+                                      rng.uniform(0, 2 * math.pi))
+                except ValueError:
+                    continue
+
+        def edge(k, phi):
+            # a length about where k z + phi leaves the float range
+            z = (sys.float_info.max - phi) / k if k > 0 else 1.0
+            return z * float(rng.choice([1.0 + rng.uniform(-1e-15, 1e-15),
+                                         2.0 ** rng.uniform(-2, 2)]))
+
+        def lengths(dev):
+            return [edge(dev.k_slow_rad_per_mm, dev.bend_phase_slow_rad),
+                    edge(dev.k_fast_rad_per_mm, dev.bend_phase_fast_rad),
+                    *(float(rng.choice([-magnitude(), math.nan, math.inf,
+                                        -math.inf, 0.0, -0.0, magnitude()]))
+                      for _ in range(4))]
+
+        def error(call, *args):
+            try:
+                call(*args)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        seen = collections.Counter()
+        for _ in range(400):
+            dev = device()
+            zs = lengths(dev)
+            rng.shuffle(zs)
+            wants = [error(dev.with_length, z) for z in zs]
+            for z, want in zip(zs, wants):
+                assert error(sweep_coupling_length, dev, [z]) == want, (dev, z)
+                # the rule broken: the overflowing axis, or the length's rule
+                seen[want and want.split(" * ")[0].split(", got")[0]] += 1
+            first = next((w for w in wants if w is not None), None)
+            assert error(sweep_coupling_length, dev, zs) == first, (dev, zs)
+            good = [z for z, w in zip(zs, wants) if w is None]
+            for pt in sweep_coupling_length(dev, good):
+                assert all(math.isfinite(v) for v in pt), (dev, pt)
+        assert set(seen) == {
+            None, "length_mm must be finite", "length_mm must be >= 0",
+            "phase k_slow_rad_per_mm", "phase k_fast_rad_per_mm"}
+        assert min(seen.values()) >= 20, seen
 
     def test_points_are_immutable_rows(self):
         rng = np.random.default_rng(45)
