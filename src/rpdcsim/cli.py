@@ -110,6 +110,14 @@ def _parse_values_flag(text, name):
                          f"got {text!r}") from None
 
 
+def _read_lengths(value, name) -> tuple:
+    """Sweep lengths as `_expand_range` reads them, each >= 0."""
+    lengths = _expand_range(value, name)
+    if lengths[0] < 0:  # the points increase, so the first is the least
+        raise ValueError(f"{name}: lengths must be >= 0, got {lengths[0]}")
+    return lengths
+
+
 def _read_path(value, name) -> str:
     if not isinstance(value, str):
         raise ValueError(f"config {name} must be a path string, "
@@ -142,7 +150,7 @@ SETTINGS = {
     "device": ("device", "device", None, None, _read_path),
     "calibration": ("calibration", "calibration", None, None, _read_path),
     "lengths_mm": ("lengths_mm", "lengths", _parse_values_flag, None,
-                   _expand_range),
+                   _read_lengths),
     "thetas_deg": ("thetas_deg", "thetas", _parse_values_flag, None,
                    _expand_range),
     "noise": ("counts_per_basis", None, None, None, _read_noise),

@@ -13,7 +13,6 @@ Port naming follows the splitting-ratio law: port T is the cross arm
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 import json
@@ -24,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._files import check_fields, check_finite, read_json, read_number
-from .birefringence import _check_retarder
+from .birefringence import RotatedRetarder, _check_retarder, retarder_jones
 from .coupling import CouplerParams, coupler_transfer_matrix
 from .polarization import (
     JonesVector,
@@ -113,14 +112,13 @@ class RpdcDevice:
     def _straight_region(self) -> list:
         """The straight region's Jones matrix, nested lists of Python complex.
 
-        The rotated retarder of `simulate_axis_check`, built once per device
-        object and kept on it; a device made by `with_length` or
-        `dataclasses.replace` builds its own.
+        The rotated retarder of `simulate_axis_check`, its fast axis at
+        alpha_deg + 90, built once per device object and kept on it; a device
+        made by `with_length` or `dataclasses.replace` builds its own.
         """
-        half = 0.5j * self.retardance_rad
-        t = self.amplitude_transmittance
-        return rotated_diagonal(self.alpha_deg, t * cmath.exp(half),
-                                t * cmath.exp(-half)).tolist()
+        return retarder_jones(RotatedRetarder(
+            (self.alpha_deg + 90.0) % 180.0, self.retardance_rad,
+            self.amplitude_transmittance)).tolist()
 
 
 def make_pdc_device(alpha_deg: float, k_slow: float, k_fast: float,

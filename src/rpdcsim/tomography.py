@@ -62,7 +62,7 @@ BLOCH_AXES = ("DA", "RL", "HV")
 MAX_COUNTS_PER_BASIS = 1e18
 
 # cap on the safeguarded Newton steps of one per-axis solve; bisection
-# alone narrows (-1, 1) below 1e-16 in 55 steps
+# alone narrows [0, 1] below 1e-16 in 54 steps
 _AXIS_STEPS = 100
 # boundary case: a per-axis root stops once its Newton step is at most _XATOL
 # times its distance to +-1; the multiplier once |sum x_i^2 - 1| <= _FATOL
@@ -181,6 +181,10 @@ def _effects(j: np.ndarray, settings: tuple) -> np.ndarray:
 def povm_effects(device: RpdcDevice) -> np.ndarray:
     """Effects through `device`, shape (3, 2, 2, 2): basis, outcome, 2x2.
 
+    The plates turn basis b's pair (s0, s1) = BASIS_STATES[b] onto the
+    device axes, where both ports are diagonal, so its effects are
+    P_t_slow |s0><s0| + P_t_fast |s1><s1| and the same with P_r, for P =
+    `axis_port_powers(device)`: retardance and coupler phases cancel.
     Built once per device object and kept on it; a device made by
     `with_length` or `dataclasses.replace` builds its own.
     """
@@ -315,51 +319,42 @@ def linear_reconstruct(records) -> TomographyResult:
                    True)
 
 
-def _axis_root(a: float, b: float, lam: float, x: float) -> float:
-    """Minimizer over [-1, 1] of -a log(1+x) - b log(1-x) + lam x^2.
+def _axis_root(w: float, n: float, lam: float, u: float) -> float:
+    """Distance u in [0, 1] to its end of one axis's minimizer x = 1 - u.
 
-    Inside the interval it is the only root there of the cubic
-    g(x) = x (a + b + 2 lam (1 - x^2)) - (a - b), the stationarity
-    condition times (1 - x^2); g(-1) = -2a <= 0 <= 2b = g(1). Newton from
-    the warm start `x`, kept inside the sign bracket by bisection, stops
-    once a step is at most `_XATOL` times the distance to the nearer end of
-    the interval: a root near +-1 can sit close to a second root of g at
-    the end, where Newton converges only slowly. With a zero weight the
-    minimizer sits on the interval's end while lam <= (other weight)/4.
+    With weights L >= w, n = L + w, and +1 the end L favours, x minimizes
+    -L log(1+x) - w log(1-x) + lam x^2 on [-1, 1]. Inside, u is the one
+    root in [0, 1] of h(u) = u (n - 2 lam (1 - u)(2 - u)) - 2w, the
+    stationarity condition times u (2 - u), to full relative precision;
+    h(0) = -2w <= 0 <= n - 2w = h(1). Newton from the warm start `u` (from
+    1 if u <= 0, a spurious root for w = 0), kept inside the sign bracket
+    by bisection, stops once a step is at most `_XATOL` times u: a root
+    near 0 can sit close to a second root of h at 0, where Newton converges
+    only slowly. With w = 0, u = 0 (the end) while lam <= n/4.
     """
-    if a == 0.0 and lam <= 0.25 * b:
-        return -1.0
-    if b == 0.0 and lam <= 0.25 * a:
-        return 1.0
-    n = a + b
-    lo, hi = -1.0, 1.0
-    if not lo < x < hi:
-        x = 0.0
+    if w == 0.0 and lam <= 0.25 * n:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    if not u > 0.0:
+        u = 1.0
     for _ in range(_AXIS_STEPS):
-        # g expanded about the nearer end, where 1 -+ x is exact: near
-        # x = -1 the product x (...) and a - b cancel to far below rounding
-        if x < 0.0:
-            u = 1.0 + x
-            g = u * (n - 2.0 * lam * (2.0 - u) * (1.0 - u)) - 2.0 * a
+        h = u * (n - 2.0 * lam * (1.0 - u) * (2.0 - u)) - 2.0 * w
+        if h == 0.0:
+            return u
+        if h < 0.0:
+            lo = u
         else:
-            u = 1.0 - x
-            g = 2.0 * b - u * (n - 2.0 * lam * (2.0 - u) * (1.0 - u))
-        if g == 0.0:
-            return x
-        if g < 0.0:
-            lo = x
-        else:
-            hi = x
-        slope = n + 2.0 * lam * (1.0 - 3.0 * x * x)
-        nxt = x - g / slope if slope > 0.0 else math.nan
-        if abs(nxt - x) <= _XATOL * u:
+            hi = u
+        slope = n - 2.0 * lam * (3.0 * u * u - 6.0 * u + 2.0)
+        nxt = u - h / slope if slope > 0.0 else math.nan
+        if abs(nxt - u) <= _XATOL * u:
             return nxt
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
             if not lo < nxt < hi:  # bracket down to adjacent floats
-                return x
-        x = nxt
-    return x
+                return u
+        u = nxt
+    return u
 
 
 def mle_reconstruct(records) -> TomographyResult:
@@ -372,8 +367,11 @@ def mle_reconstruct(records) -> TomographyResult:
     on the sphere at x_i(lambda), the minimizer of the i-th term plus
     lambda x_i^2, where sum x_i(lambda)^2 = 1; that sum decreases in
     lambda > 0, so one scalar root-find (Newton on lambda with a bisection
-    safeguard) fixes the multiplier. The converged iterate, pulled into
-    the ball, is the answer. `iterations` counts the root-find's steps.
+    safeguard) fixes the multiplier. Each axis solves for u_i = 1 - |x_i|,
+    its distance to the end its larger weight favours, exact where x_i
+    rounds to +-1. The converged iterate x_i = +-(1 - u_i), pulled into the
+    ball, is the answer; the log-likelihood is the iterate's, of outcome
+    probabilities (2 - u_i)/2 and u_i/2. `iterations` counts multiplier steps.
     The boundary case first scales all six weights by the power of four
     that centres their magnitudes on 1, as far as the float range allows;
     this moves every iterate exactly, so the state does not depend on it.
@@ -407,10 +405,13 @@ def mle_reconstruct(records) -> TomographyResult:
     # finite. A power of four scales every iterate exactly
     e_min, _, e_max = sorted(math.frexp(max(a, b))[1] for a, b in pairs)
     scale = 4.0 ** min(-(e_max + e_min) // 4, (999 - e_max) // 2, 511)
-    pairs = [(a * scale, b * scale) for a, b in pairs]
+    # each axis solves for u_i = 1 - |x_i|, its distance to the end +-1 that
+    # its larger weight favours (x_i's sign); weights become (larger, smaller)
+    pairs = [(max(a, b) * scale, min(a, b) * scale) for a, b in pairs]
     if not all(a + b > 0.0 for a, b in pairs):
         raise ValueError("a basis's outcome weights are lost in the scale for "
                          "another's, more than the float range apart")
+    u = [1.0 - abs(v) for v in x]
 
     # phi(lam) = sum x_i(lam)^2 - 1 is bracketed by [lo, hi]. phi falls by at
     # most 16 r2 / min_i(a_i + b_i) per unit lam, from phi(0) = r2 - 1, so
@@ -426,12 +427,12 @@ def mle_reconstruct(records) -> TomographyResult:
             lo = max(lo, lam)
         else:
             hi = lam
-        # dphi/dlam = -sum 4 x_i^2 / (a_i/(1+x_i)^2 + b_i/(1-x_i)^2 + 2 lam);
-        # an axis pinned at +-1 is locally constant in lam, and a flat
-        # slope falls back to bisection
-        slope = -sum(4.0 * v * v / (a / (1.0 + v) ** 2 + b / (1.0 - v) ** 2
-                                    + 2.0 * lam)
-                     for (a, b), v in zip(pairs, x) if -1.0 < v < 1.0)
+        # dphi/dlam = -sum 4 x_i^2 / (L_i/(2-u_i)^2 + w_i/u_i^2 + 2 lam), w/u/u
+        # as u^2 can underflow; an axis pinned at its end is locally constant
+        # in lam, and a flat slope falls back to bisection
+        slope = -sum(4.0 * (1.0 - v) ** 2 / (big / (2.0 - v) ** 2
+                                             + w / v / v + 2.0 * lam)
+                     for (big, w), v in zip(pairs, u) if v > 0.0)
         nxt = lam - (r2 - 1.0) / slope if slope < 0.0 else math.nan
         if not (lo < nxt < hi and abs(nxt - lam) <= 0.5 * last):
             # bisect, on a log scale, when Newton leaves the bracket or its
@@ -441,13 +442,13 @@ def mle_reconstruct(records) -> TomographyResult:
             nxt = math.sqrt(lo) * math.sqrt(hi)
         last = abs(nxt - lam)
         lam = nxt
-        x = [_axis_root(a, b, lam, v) for (a, b), v in zip(pairs, x)]
-        r2 = sum(v * v for v in x)
+        u = [_axis_root(w, big + w, lam, v) for (big, w), v in zip(pairs, u)]
+        r2 = sum((1.0 - v) ** 2 for v in u)
 
     converged = abs(r2 - 1.0) <= _FATOL
-    if r2 > 1.0:
-        x = [v / math.sqrt(r2) for v in x]
-    ll = _log_likelihood(pairs, [(1.0 + v, 1.0 - v, 2.0) for v in x])
+    ll = _log_likelihood(pairs, [(2.0 - v, v, 2.0) for v in u])
+    r = math.sqrt(max(r2, 1.0))  # pulls the state into the ball
+    x = [math.copysign(1.0 - v, s) / r for v, s in zip(u, x)]
     result = _result(StokesVector(1.0, *x), ll / scale, steps, converged)
     if not converged:
         raise MleDivergenceError(

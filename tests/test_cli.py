@@ -148,6 +148,26 @@ class TestCouplerSweep:
         assert main(["coupler-sweep", "--device", SHIPPED_DEVICE,
                      "--lengths", "5,3,9", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config", "config-under-flag",
+                                        "range-flag"])
+    def test_negative_length_names_lengths_mm(self, tmp_path, capsys,
+                                              source):
+        # the length, not the device file, is at fault, so the message
+        # names the setting and value and does not start with the file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lengths_mm": [-1, 2]}))
+        extra = {"flag": ["--lengths=-1,2"],
+                 "config": ["--config", str(cfg)],
+                 "config-under-flag": ["--config", str(cfg), "--lengths",
+                                       "1,2"],
+                 "range-flag": ["--lengths=-1:2:1"]}[source]
+        assert main(["coupler-sweep", "--device", SHIPPED_DEVICE, "--out",
+                     str(tmp_path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err == "error: lengths_mm: lengths must be >= 0, got -1.0\n"
+        assert not err.startswith(f"error: {SHIPPED_DEVICE}")
+        assert not (tmp_path / "coupler_sweep.csv").exists()
+
 
 class TestExtinction:
     def test_shipped_device_values(self, tmp_path):

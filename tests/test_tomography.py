@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from rpdcsim import tomography
-from rpdcsim.device import load_device, make_pdc_device
+from rpdcsim.device import (
+    RpdcDevice,
+    axis_port_powers,
+    load_device,
+    make_pdc_device,
+)
 from rpdcsim.polarization import (
     DensityMatrix,
     RHO_MIXED,
@@ -237,6 +242,25 @@ class TestEffects:
         want = [np.trace(e @ cardinal_density("H").matrix).real
                 for e in povm_effects(longer)[0]]
         assert (rec.p0, rec.p1) == pytest.approx(want, abs=1e-15)
+
+    def test_closed_form_on_random_devices(self):
+        # the plates turn each basis pair onto the device axes, where both
+        # ports are diagonal, so retardance and coupler phases cancel:
+        # E_T = P_t_slow Pi_0 + P_t_fast Pi_1, E_R likewise with P_r
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            k_fast, k_more = rng.uniform(0.0, 0.5, size=2)
+            dev = RpdcDevice(rng.uniform(0.0, 180.0), k_fast + k_more, k_fast,
+                             rng.uniform(0.0, 40.0), *rng.uniform(-4, 4, 2),
+                             rng.uniform(0.05, 1.0),
+                             rng.uniform(0.0, 2 * math.pi))
+            p = axis_port_powers(dev)
+            for basis, got in zip(BASES, povm_effects(dev)):
+                pi0, pi1 = (cardinal_density(s).matrix
+                            for s in BASIS_STATES[basis])
+                want = (p.t_slow * pi0 + p.t_fast * pi1,
+                        p.r_slow * pi0 + p.r_fast * pi1)
+                assert np.abs(got - np.array(want)).max() < 1e-14
 
 
 class TestMeasureRecords:
@@ -755,6 +779,37 @@ class TestMleReconstruct:
         assert res.converged and res.physical
         assert s.s3 == pytest.approx(-1.0, abs=1e-15)
         assert abs(s.s1) < 1e-15 and abs(s.s2) < 1e-15
+
+    # warm starts for the per-axis solve: the restart value 1, inside, and
+    # at or below the end, which restarts from 1
+    WARM_STARTS = (1.0, 0.5, 0.1, 1e-300, 0.0, -1.0)
+
+    def test_axis_root_to_full_relative_precision(self):
+        # weights (1 - 1e-30, 1e-30) put x within 3.3e-30 of 1, so x rounds
+        # to 1; u holds that distance. The literal is the root of
+        # u (1 - 0.2 (1 - u)(2 - u)) = 2e-30 to 20 digits, from a
+        # 50-digit solve
+        want = 3.3333333333333337345e-30
+        for u0 in self.WARM_STARTS:
+            u = tomography._axis_root(1e-30, 1.0, 0.1, u0)
+            assert abs(u - want) <= 2 * math.ulp(want), (u0, u)
+
+    @pytest.mark.parametrize("w, lam", [(0.5, 0.0), (3.0, 0.2), (3.0, 7.0),
+                                        (1e-200, 1e-190), (2.0, 1e300)])
+    def test_axis_root_equal_weights_sit_at_the_centre(self, w, lam):
+        for u0 in self.WARM_STARTS:
+            assert tomography._axis_root(w, 2.0 * w, lam, u0) == 1.0
+
+    def test_axis_root_zero_weight(self):
+        # u = 0 (the end) while lam <= n/4; past that, the root of
+        # n = 2 lam (1 - u)(2 - u): (3 - sqrt(19/3))/2 for n = 4, lam = 1.5
+        for lam in (0.0, 0.25, 1.0):
+            for u0 in self.WARM_STARTS:
+                assert tomography._axis_root(0.0, 4.0, lam, u0) == 0.0
+        want = 0.24169426078820838
+        for u0 in self.WARM_STARTS:
+            u = tomography._axis_root(0.0, 4.0, 1.5, u0)
+            assert abs(u - want) <= 2 * math.ulp(want), (u0, u)
 
     def test_zero_weight_basis_rejected(self):
         recs = (MeasurementRecord("HV", 0.6, 0.4, counts=(60, 40)),
