@@ -9,7 +9,6 @@ dataclasses that hold such numbers check them finite here too.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import json
 import sys
 
@@ -51,12 +50,20 @@ def read_number(value, what: str) -> float:
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
-def check_finite(obj) -> None:
-    """Each field of the dataclass `obj` is a finite real or complex number."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
+def check_finite(**values) -> None:
+    """Each value, named by its keyword, is a finite real or complex number."""
+    for name, value in values.items():
         if not cmath.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def finite_result(value, what: str, **inputs):
+    """`value`, the `what` of `inputs`, once it and every input are finite."""
+    if cmath.isfinite(value) and all(map(cmath.isfinite, inputs.values())):
+        return value
+    check_finite(**inputs)
+    given = ", ".join(f"{name} {x}" for name, x in inputs.items())
+    raise ValueError(f"{what} overflows: {given}")
 
 
 def read_csv(path, headers, parse_row) -> tuple:

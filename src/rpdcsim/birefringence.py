@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import check_finite, read_csv
+from ._files import check_finite, finite_result, read_csv
 from .polarization import rotated_diagonal
 
 NM_PER_MM = 1e6
@@ -48,7 +48,7 @@ class RotatedRetarder:
     amplitude_transmittance: float = 1.0
 
     def __post_init__(self):
-        check_finite(self)
+        check_finite(**vars(self))
         _check_retarder(self)
 
     @property
@@ -177,10 +177,12 @@ def load_axis_calibration(path) -> AxisCalibration:
 
 def retardance_from_physics(delta_n: float, length_mm: float,
                             wavelength_nm: float) -> float:
-    """delta = 2 pi * delta_n * L / lambda, with L in mm and lambda in nm."""
-    if not (delta_n >= 0 and length_mm > 0 and wavelength_nm > 0):
+    """delta = 2 pi delta_n L / lambda, L in mm, lambda in nm; all finite."""
+    if delta_n < 0 or length_mm <= 0 or wavelength_nm <= 0:
         raise ValueError("need delta_n >= 0, length_mm > 0, wavelength_nm > 0")
-    return 2 * math.pi * delta_n * length_mm * NM_PER_MM / wavelength_nm
+    delta = 2 * math.pi * delta_n * length_mm * NM_PER_MM / wavelength_nm
+    return finite_result(delta, "retardance", delta_n=delta_n,
+                         length_mm=length_mm, wavelength_nm=wavelength_nm)
 
 
 def axis_from_offset(cal: AxisCalibration, theta_deg: float) -> float:

@@ -1,10 +1,13 @@
 """Command-line harness: scripted runs that emit plot-ready CSV/JSON.
 
-Every artifact embeds the effective random seed and a SHA-256 hash of the
-resolved configuration: CSV files carry them in a leading `#` comment,
-JSON files under a "meta" key. Files are written atomically (temp file
-plus rename) and byte-identically for identical config and seed; floats
-are rendered with repr so the shortest round-trip form is stable.
+Each subcommand returns its artifacts, file name to body; `main` writes them
+only once the run has succeeded, so a run that fails on its input or its
+computation exits 2 and writes no file, makes no directory. Every artifact
+embeds the effective random seed and a SHA-256 hash of the resolved
+configuration: CSV files carry them in a leading `#` comment, JSON files
+under a "meta" key. Files are written atomically (temp file plus rename),
+each named on stdout, and byte-identically for identical config and seed;
+floats are rendered with repr so the shortest round-trip form is stable.
 """
 
 from __future__ import annotations
@@ -193,23 +196,17 @@ def _config_digest(cfg, args) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _write_artifact(path: Path, body, meta: dict) -> None:
+    if path.suffix == ".json":
+        text = json.dumps({**body, "meta": meta}, indent=2)
+    else:
+        header, rows = body
+        text = "\n".join([f"# config_sha256={meta['config_sha256']} "
+                          f"seed={meta['seed']}", header, *rows])
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_text(text + "\n", encoding="utf-8")
     os.replace(tmp, path)
-
-
-def _write_csv(path: Path, meta: dict, header: str, rows) -> None:
-    lines = [f"# config_sha256={meta['config_sha256']} seed={meta['seed']}",
-             header]
-    lines.extend(rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, payload: dict, meta: dict) -> None:
-    payload = dict(payload)
-    payload["meta"] = meta
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {path}")
 
 
 def _require(value, flag, subcommand):
@@ -219,18 +216,16 @@ def _require(value, flag, subcommand):
     return value
 
 
-def cmd_axis_cal(cfg, args, meta: dict, out_dir: Path) -> None:
+def cmd_axis_cal(cfg, args) -> dict:
     cal_path = _require(cfg.calibration, "--calibration", "axis-cal")
     thetas = _require(cfg.thetas_deg, "--thetas", "axis-cal")
     cal = load_axis_calibration(cal_path)
     rows = [f"{theta!r},{axis_from_offset(cal, theta)!r}"
             for theta in thetas]
-    path = out_dir / "axis_cal.csv"
-    _write_csv(path, meta, "theta_deg,alpha_deg", rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    return {"axis_cal.csv": ("theta_deg,alpha_deg", rows)}
 
 
-def cmd_coupler_sweep(cfg, args, meta: dict, out_dir: Path) -> None:
+def cmd_coupler_sweep(cfg, args) -> dict:
     device_path = _require(cfg.device, "--device", "coupler-sweep")
     lengths = _require(cfg.lengths_mm, "--lengths", "coupler-sweep")
     device = load_device(device_path)
@@ -241,61 +236,46 @@ def cmd_coupler_sweep(cfg, args, meta: dict, out_dir: Path) -> None:
         raise ValueError(f"{device_path}: {exc}") from None
     rows = [f"{p.length_mm!r},{p.p_t_slow!r},{p.p_t_fast!r}"
             for p in points]
-    path = out_dir / "coupler_sweep.csv"
-    _write_csv(path, meta, "length_mm,p_cross_slow,p_cross_fast", rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    return {"coupler_sweep.csv": ("length_mm,p_cross_slow,p_cross_fast",
+                                  rows)}
 
 
-def cmd_extinction(cfg, args, meta: dict, out_dir: Path) -> None:
+def cmd_extinction(cfg, args) -> dict:
     device_path = _require(cfg.device, "--device", "extinction")
     er_t, er_r = extinction_ratios(load_device(device_path))
-    payload = {"er_t_db": round(er_t, 2), "er_r_db": round(er_r, 2)}
-    path = out_dir / "extinction.json"
-    _write_json(path, payload, meta)
-    print(f"wrote {path} (ER_T {payload['er_t_db']:.2f} dB, "
-          f"ER_R {payload['er_r_db']:.2f} dB)")
+    return {"extinction.json": {"er_t_db": round(er_t, 2),
+                                "er_r_db": round(er_r, 2)}}
 
 
-def cmd_tomography(cfg, args, meta: dict, out_dir: Path) -> None:
+def cmd_tomography(cfg, args) -> dict:
     if args.records is not None:
-        records = load_measurement_csv(args.records)
-        result = mle_reconstruct(records)
-        path = out_dir / "tomography_records.json"
-        _write_json(path, result_to_dict(result), meta)
-        print(f"wrote {path} (converged={result.converged})")
-        return
+        result = mle_reconstruct(load_measurement_csv(args.records))
+        return {"tomography_records.json": result_to_dict(result)}
 
-    device_path = _require(cfg.device, "--device", "tomography")
-    device = load_device(device_path)
-    fid_rows = []
+    device = load_device(_require(cfg.device, "--device", "tomography"))
+    artifacts, fid_rows = {}, []
     for idx, label in enumerate(CARDINAL_LABELS):
         # state i at run seed s draws from seed 6 s + i: no shared streams
         noise = NoiseConfig(counts_per_basis=cfg.counts_per_basis,
                             seed=len(CARDINAL_LABELS) * cfg.seed + idx)
         true_state = cardinal_density(label)
         fid, result = run_tomography_experiment(true_state, device, noise)
-        _write_json(out_dir / f"tomography_{label}.json",
-                    result_to_dict(result, fidelity_value=fid), meta)
+        artifacts[f"tomography_{label}.json"] = result_to_dict(
+            result, fidelity_value=fid)
         fid_rows.append(f"{label},{fid!r},{result.converged},"
                         f"{result.iterations}")
-    path = out_dir / "fidelities.csv"
-    _write_csv(path, meta, "state,fidelity,converged,iterations", fid_rows)
-    print(f"wrote {path} and per-state JSON ({len(fid_rows)} states)")
+    return {**artifacts, "fidelities.csv": (
+        "state,fidelity,converged,iterations", fid_rows)}
 
 
-def cmd_find_axis(cfg, args, meta: dict, out_dir: Path) -> None:
-    retarder = RotatedRetarder(args.alpha, args.retardance,
-                               args.transmittance)
-    recovered = find_axis(retarder)
-    payload = {
+def cmd_find_axis(cfg, args) -> dict:
+    return {"find_axis.json": {
         "alpha_deg": args.alpha,
         "retardance_rad": args.retardance,
         "amplitude_transmittance": args.transmittance,
-        "recovered_alpha_mod_90_deg": recovered,
-    }
-    path = out_dir / "find_axis.json"
-    _write_json(path, payload, meta)
-    print(f"wrote {path} (recovered {recovered!r} deg)")
+        "recovered_alpha_mod_90_deg": find_axis(RotatedRetarder(
+            args.alpha, args.retardance, args.transmittance)),
+    }}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,9 +342,11 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         meta = {"config_sha256": _config_digest(cfg, args), "seed": cfg.seed}
+        artifacts = args.run(cfg, args)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        args.run(cfg, args, meta, out_dir)
+        for name, body in artifacts.items():
+            _write_artifact(out_dir / name, body, meta)
     except (ValueError, OSError, MleDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import check_finite
+from ._files import check_finite, finite_result
 
 SYMMETRY_TOL = 1e-12
 DEFAULT_STEP_MM = 1e-3
@@ -46,7 +46,7 @@ class CouplerParams:
     bend_phase_rad: float = 0.0
 
     def __post_init__(self):
-        check_finite(self)
+        check_finite(**vars(self))
         if self.length_mm < 0:
             raise ValueError(f"length_mm must be >= 0, got {self.length_mm}")
 
@@ -70,7 +70,7 @@ class ModeAmplitudes:
     a2: complex
 
     def __post_init__(self):
-        check_finite(self)
+        check_finite(**vars(self))
 
     @property
     def power(self) -> float:
@@ -156,13 +156,16 @@ def cross_coupling_ratio(k: float, length_mm: float,
     """Field cross/bar amplitude ratios (T, R) of a symmetric coupler.
 
     T = |sin(K Z + phi)| and R = sqrt(1 - T^2), so T^2 + R^2 = 1 and the
-    corresponding powers split as sin^2 / cos^2.
+    corresponding powers split as sin^2 / cos^2. Each argument, and the
+    phase K Z + phi, must be finite.
     """
     if k < 0:
         raise ValueError(f"coupling coefficient must be >= 0, got {k}")
     if length_mm < 0:
         raise ValueError(f"length_mm must be >= 0, got {length_mm}")
-    t = abs(math.sin(k * length_mm + bend_phase_rad))
+    phase = finite_result(k * length_mm + bend_phase_rad, "phase", k=k,
+                          length_mm=length_mm, bend_phase_rad=bend_phase_rad)
+    t = abs(math.sin(phase))
     return t, math.sqrt(1.0 - t * t)
 
 
@@ -170,17 +173,17 @@ def pdc_coupling_length(k_slow: float, k_fast: float) -> float:
     """Shortest length splitting the two polarizations to opposite ports.
 
     L = pi / (2 (K_S - K_F)): at this length the slow- and fast-axis
-    transfer arguments differ by pi/2.
+    transfer arguments differ by pi/2. Both coefficients, and L, must be
+    finite.
     """
-    if not (math.isfinite(k_slow) and math.isfinite(k_fast)):
-        raise ValueError("coupling coefficients must be finite")
     if k_fast < 0:
         raise ValueError(f"k_fast must be >= 0, got {k_fast}")
     if k_slow <= k_fast:
         raise ValueError(
             f"slow axis must couple more strongly: k_slow {k_slow} "
             f"<= k_fast {k_fast}")
-    return math.pi / (2.0 * (k_slow - k_fast))
+    return finite_result(math.pi / (2.0 * (k_slow - k_fast)), "length",
+                         k_slow=k_slow, k_fast=k_fast)
 
 
 def bend_phase_from_shortening(l_straight_mm: float, l_effective_mm: float,
@@ -189,7 +192,8 @@ def bend_phase_from_shortening(l_straight_mm: float, l_effective_mm: float,
 
     A coupler that behaves like length l_straight while its parallel
     section is only l_effective carries phi = delta_k (l_straight -
-    l_effective) in the transfer argument.
+    l_effective) in the transfer argument. Each argument, and phi, must be
+    finite.
     """
     if delta_k <= 0:
         raise ValueError(f"delta_k must be > 0, got {delta_k}")
@@ -197,4 +201,6 @@ def bend_phase_from_shortening(l_straight_mm: float, l_effective_mm: float,
         raise ValueError(
             f"need 0 < l_effective_mm <= l_straight_mm, got "
             f"{l_effective_mm} and {l_straight_mm}")
-    return delta_k * (l_straight_mm - l_effective_mm)
+    return finite_result(delta_k * (l_straight_mm - l_effective_mm), "phase",
+                         l_straight_mm=l_straight_mm,
+                         l_effective_mm=l_effective_mm, delta_k=delta_k)

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._files import check_fields, check_finite, read_json, read_number
+from ._files import (check_fields, check_finite, finite_result, read_json,
+                     read_number)
 from .birefringence import RotatedRetarder, _check_retarder, retarder_jones
 from .coupling import CouplerParams, coupler_transfer_matrix
 from .polarization import (
@@ -72,7 +73,7 @@ class RpdcDevice:
     retardance_rad: float = 0.0
 
     def __post_init__(self):
-        check_finite(self)
+        check_finite(**vars(self))
         _check_retarder(self)
         if self.length_mm < 0:
             raise ValueError(f"length_mm must be >= 0, got {self.length_mm}")
@@ -195,11 +196,12 @@ def axis_port_powers(dev: RpdcDevice) -> PortPowers:
 
 
 def extinction_db(p_num: float, p_den: float) -> float:
-    """|10 log10(p_num/p_den)| with dead-zero powers clamped at POWER_CLAMP."""
+    """|10 log10(p_num/p_den)|, powers floored at POWER_CLAMP; all finite."""
     if p_num < 0 or p_den < 0:
         raise ValueError("powers must be >= 0")
-    return abs(10.0 * math.log10(max(p_num, POWER_CLAMP)
-                                 / max(p_den, POWER_CLAMP)))
+    ratio = finite_result(max(p_num, POWER_CLAMP) / max(p_den, POWER_CLAMP),
+                          "ratio", p_num=p_num, p_den=p_den)
+    return abs(10.0 * math.log10(ratio))
 
 
 def extinction_ratios(dev: RpdcDevice) -> tuple:

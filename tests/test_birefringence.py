@@ -86,6 +86,16 @@ class TestRetardanceFromPhysics:
             retardance_from_physics(1e-5, 0.0, 780.0)
         with pytest.raises(ValueError):
             retardance_from_physics(1e-5, 1.0, -780.0)
+        for args, message in [
+                ((math.inf, 1.0, 1.0), "delta_n must be finite, got inf"),
+                ((math.nan, 1.0, 1.0), "delta_n must be finite, got nan"),
+                ((1e-5, 1.0, math.inf),
+                 "wavelength_nm must be finite, got inf"),
+                ((1e300, 1e300, 1.0), "retardance overflows: delta_n 1e+300, "
+                                      "length_mm 1e+300, wavelength_nm 1.0")]:
+            with pytest.raises(ValueError) as info:
+                retardance_from_physics(*args)
+            assert str(info.value) == message
 
 
 class TestAxisCalibration:

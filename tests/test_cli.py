@@ -621,6 +621,61 @@ class TestHarnessContracts:
         assert proc.returncode == 2
 
 
+class TestArtifactWriter:
+    """`main` writes a run's artifacts only after the whole run succeeds."""
+
+    # at 3 counts per basis and seed 1 the last state, L, draws no DA
+    # counts, after the other five states have been reconstructed
+    FAILING = ["tomography", "--device", SHIPPED_DEVICE, "--seed", "1"]
+
+    def rate_config(self, tmp_path, counts):
+        cfg = tmp_path / f"rate{counts}.json"
+        cfg.write_text(json.dumps({"noise": {"counts_per_basis": counts}}))
+        return str(cfg)
+
+    def test_failed_run_makes_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(self.FAILING + ["--config", self.rate_config(tmp_path, 3),
+                                    "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "zero total counts" in captured.err
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
+    def test_failed_run_leaves_an_earlier_run_as_it_was(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(self.FAILING + ["--config",
+                                    self.rate_config(tmp_path, 2000),
+                                    "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 7
+        assert main(self.FAILING + ["--config", self.rate_config(tmp_path, 3),
+                                    "--out", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, names", [
+        (["axis-cal", "--calibration", CALIBRATION, "--thetas", "0,90"],
+         ["axis_cal.csv"]),
+        (["coupler-sweep", "--device", IDEAL_45_DEVICE, "--lengths", "0,1"],
+         ["coupler_sweep.csv"]),
+        (["extinction", "--device", SHIPPED_DEVICE], ["extinction.json"]),
+        (["tomography", "--device", SHIPPED_DEVICE],
+         [f"tomography_{s}.json" for s in "HVDARL"] + ["fidelities.csv"]),
+        (["tomography", "--records",
+          str(DATA.parent / "tests" / "inputs" / "records_counts.csv")],
+         ["tomography_records.json"]),
+        (["find-axis", "--alpha", "30", "--retardance", "2"],
+         ["find_axis.json"]),
+    ])
+    def test_one_wrote_line_per_artifact(self, tmp_path, capsys, argv,
+                                         names):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (capsys.readouterr().out.splitlines()
+                == [f"wrote {out / name}" for name in names])
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
 class TestConfigFieldTypes:
     """seed and noise.counts_per_basis are typed: a bad value exits 2."""
 

@@ -223,6 +223,17 @@ class TestCrossCouplingRatio:
             cross_coupling_ratio(-0.1, 1.0)
         with pytest.raises(ValueError):
             cross_coupling_ratio(0.1, -1.0)
+        for args, message in [
+                ((math.nan, 1.0), "k must be finite, got nan"),
+                ((math.inf, 1.0), "k must be finite, got inf"),
+                ((0.1, math.inf), "length_mm must be finite, got inf"),
+                ((0.1, 1.0, math.nan),
+                 "bend_phase_rad must be finite, got nan"),
+                ((1e300, 1e300), "phase overflows: k 1e+300, length_mm "
+                                 "1e+300, bend_phase_rad 0.0")]:
+            with pytest.raises(ValueError) as info:
+                cross_coupling_ratio(*args)
+            assert str(info.value) == message
 
 
 class TestPdcLength:
@@ -249,6 +260,17 @@ class TestPdcLength:
         with pytest.raises(ValueError):
             pdc_coupling_length(1.0, -0.1)
 
+    def test_non_finite_named(self):
+        for args, message in [
+                ((math.nan, 0.0), "k_slow must be finite, got nan"),
+                ((math.inf, 0.0), "k_slow must be finite, got inf"),
+                ((1.0, math.nan), "k_fast must be finite, got nan"),
+                ((1e-320, 0.0), "length overflows: k_slow 1e-320, "
+                                "k_fast 0.0")]:
+            with pytest.raises(ValueError) as info:
+                pdc_coupling_length(*args)
+            assert str(info.value) == message
+
 
 class TestBendPhase:
     def test_reference_shortening(self):
@@ -274,3 +296,13 @@ class TestBendPhase:
             bend_phase_from_shortening(10.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             bend_phase_from_shortening(10.0, 5.0, 0.0)
+        for args, message in [
+                ((10.0, 5.0, math.nan), "delta_k must be finite, got nan"),
+                ((math.inf, 5.0, 1.0),
+                 "l_straight_mm must be finite, got inf"),
+                ((1e300, 5.0, 1e300),
+                 "phase overflows: l_straight_mm 1e+300, l_effective_mm 5.0, "
+                 "delta_k 1e+300")]:
+            with pytest.raises(ValueError) as info:
+                bend_phase_from_shortening(*args)
+            assert str(info.value) == message

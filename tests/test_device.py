@@ -244,6 +244,14 @@ class TestExtinction:
     def test_db_domain(self):
         with pytest.raises(ValueError):
             extinction_db(-0.1, 1.0)
+        for args, message in [
+                ((math.nan, 1.0), "p_num must be finite, got nan"),
+                ((math.inf, 1.0), "p_num must be finite, got inf"),
+                ((1.0, math.inf), "p_den must be finite, got inf"),
+                ((1e300, 0.0), "ratio overflows: p_num 1e+300, p_den 0.0")]:
+            with pytest.raises(ValueError) as info:
+                extinction_db(*args)
+            assert str(info.value) == message
 
     def test_ideal_device_clamp_limited(self):
         er_t, er_r = extinction_ratios(ideal_device())
