@@ -50,18 +50,18 @@ def read_number(value, what: str) -> float:
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
-def check_finite(**values) -> None:
-    """Each value, named by its keyword, is a finite real or complex number."""
+def check_finite(**values) -> dict:
+    """`values` once each, named by its keyword, is a finite number."""
     for name, value in values.items():
         if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    return values
 
 
 def finite_result(value, what: str, **inputs):
-    """`value`, the `what` of `inputs`, once it and every input are finite."""
-    if cmath.isfinite(value) and all(map(cmath.isfinite, inputs.values())):
+    """`value`, the `what` of `inputs` (each already finite), if finite."""
+    if cmath.isfinite(value):
         return value
-    check_finite(**inputs)
     given = ", ".join(f"{name} {x}" for name, x in inputs.items())
     raise ValueError(f"{what} overflows: {given}")
 

@@ -71,8 +71,6 @@ class AxisCalibration:
         if len(samples) < 2:
             raise ValueError("calibration needs at least 2 samples")
         for t, a in samples:
-            if not (math.isfinite(t) and math.isfinite(a)):
-                raise ValueError("calibration samples must be finite")
             if not 0 <= t <= 180:
                 raise ValueError(f"theta {t} out of range [0, 180]")
             if not 0 <= a < 180:
@@ -178,11 +176,12 @@ def load_axis_calibration(path) -> AxisCalibration:
 def retardance_from_physics(delta_n: float, length_mm: float,
                             wavelength_nm: float) -> float:
     """delta = 2 pi delta_n L / lambda, L in mm, lambda in nm; all finite."""
-    if delta_n < 0 or length_mm <= 0 or wavelength_nm <= 0:
+    given = check_finite(delta_n=delta_n, length_mm=length_mm,
+                         wavelength_nm=wavelength_nm)
+    if not (delta_n >= 0 and length_mm > 0 and wavelength_nm > 0):
         raise ValueError("need delta_n >= 0, length_mm > 0, wavelength_nm > 0")
-    delta = 2 * math.pi * delta_n * length_mm * NM_PER_MM / wavelength_nm
-    return finite_result(delta, "retardance", delta_n=delta_n,
-                         length_mm=length_mm, wavelength_nm=wavelength_nm)
+    delta = 2 * math.pi * delta_n * (length_mm * NM_PER_MM / wavelength_nm)
+    return finite_result(delta, "retardance", **given)
 
 
 def axis_from_offset(cal: AxisCalibration, theta_deg: float) -> float:

@@ -159,12 +159,13 @@ def cross_coupling_ratio(k: float, length_mm: float,
     corresponding powers split as sin^2 / cos^2. Each argument, and the
     phase K Z + phi, must be finite.
     """
+    given = check_finite(k=k, length_mm=length_mm,
+                         bend_phase_rad=bend_phase_rad)
     if k < 0:
         raise ValueError(f"coupling coefficient must be >= 0, got {k}")
     if length_mm < 0:
         raise ValueError(f"length_mm must be >= 0, got {length_mm}")
-    phase = finite_result(k * length_mm + bend_phase_rad, "phase", k=k,
-                          length_mm=length_mm, bend_phase_rad=bend_phase_rad)
+    phase = finite_result(k * length_mm + bend_phase_rad, "phase", **given)
     t = abs(math.sin(phase))
     return t, math.sqrt(1.0 - t * t)
 
@@ -176,6 +177,7 @@ def pdc_coupling_length(k_slow: float, k_fast: float) -> float:
     transfer arguments differ by pi/2. Both coefficients, and L, must be
     finite.
     """
+    given = check_finite(k_slow=k_slow, k_fast=k_fast)
     if k_fast < 0:
         raise ValueError(f"k_fast must be >= 0, got {k_fast}")
     if k_slow <= k_fast:
@@ -183,7 +185,7 @@ def pdc_coupling_length(k_slow: float, k_fast: float) -> float:
             f"slow axis must couple more strongly: k_slow {k_slow} "
             f"<= k_fast {k_fast}")
     return finite_result(math.pi / (2.0 * (k_slow - k_fast)), "length",
-                         k_slow=k_slow, k_fast=k_fast)
+                         **given)
 
 
 def bend_phase_from_shortening(l_straight_mm: float, l_effective_mm: float,
@@ -195,6 +197,8 @@ def bend_phase_from_shortening(l_straight_mm: float, l_effective_mm: float,
     l_effective) in the transfer argument. Each argument, and phi, must be
     finite.
     """
+    given = check_finite(l_straight_mm=l_straight_mm,
+                         l_effective_mm=l_effective_mm, delta_k=delta_k)
     if delta_k <= 0:
         raise ValueError(f"delta_k must be > 0, got {delta_k}")
     if not 0 < l_effective_mm <= l_straight_mm:
@@ -202,5 +206,4 @@ def bend_phase_from_shortening(l_straight_mm: float, l_effective_mm: float,
             f"need 0 < l_effective_mm <= l_straight_mm, got "
             f"{l_effective_mm} and {l_straight_mm}")
     return finite_result(delta_k * (l_straight_mm - l_effective_mm), "phase",
-                         l_straight_mm=l_straight_mm,
-                         l_effective_mm=l_effective_mm, delta_k=delta_k)
+                         **given)

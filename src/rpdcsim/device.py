@@ -86,12 +86,10 @@ class RpdcDevice:
         # float range for sin, cos and the port powers to mean anything
         for k, phi in (("k_slow_rad_per_mm", "bend_phase_slow_rad"),
                        ("k_fast_rad_per_mm", "bend_phase_fast_rad")):
-            k_value, phi_value = getattr(self, k), getattr(self, phi)
-            if not math.isfinite(k_value * self.length_mm + phi_value):
-                raise ValueError(
-                    f"phase {k} * length_mm + {phi} overflows: {k} "
-                    f"{k_value}, length_mm {self.length_mm}, {phi} "
-                    f"{phi_value}")
+            given = {k: getattr(self, k), "length_mm": self.length_mm,
+                     phi: getattr(self, phi)}
+            finite_result(given[k] * self.length_mm + given[phi],
+                          f"phase {k} * length_mm + {phi}", **given)
         if not self.amplitude_transmittance ** 2 > 0:
             raise ValueError("amplitude_transmittance squared underflows to "
                              f"0, got {self.amplitude_transmittance}")
@@ -197,11 +195,11 @@ def axis_port_powers(dev: RpdcDevice) -> PortPowers:
 
 def extinction_db(p_num: float, p_den: float) -> float:
     """|10 log10(p_num/p_den)|, powers floored at POWER_CLAMP; all finite."""
+    check_finite(p_num=p_num, p_den=p_den)
     if p_num < 0 or p_den < 0:
         raise ValueError("powers must be >= 0")
-    ratio = finite_result(max(p_num, POWER_CLAMP) / max(p_den, POWER_CLAMP),
-                          "ratio", p_num=p_num, p_den=p_den)
-    return abs(10.0 * math.log10(ratio))
+    return abs(10.0 * (math.log10(max(p_num, POWER_CLAMP))
+                       - math.log10(max(p_den, POWER_CLAMP))))
 
 
 def extinction_ratios(dev: RpdcDevice) -> tuple:

@@ -91,11 +91,17 @@ class TestRetardanceFromPhysics:
                 ((math.nan, 1.0, 1.0), "delta_n must be finite, got nan"),
                 ((1e-5, 1.0, math.inf),
                  "wavelength_nm must be finite, got inf"),
+                ((-math.inf, 1.0, 1.0), "delta_n must be finite, got -inf"),
                 ((1e300, 1e300, 1.0), "retardance overflows: delta_n 1e+300, "
                                       "length_mm 1e+300, wavelength_nm 1.0")]:
             with pytest.raises(ValueError) as info:
                 retardance_from_physics(*args)
             assert str(info.value) == message
+
+    def test_finite_past_the_float_range_of_delta_n_l(self):
+        # delta_n L 1e6 overflows, but delta = 2 pi 1e16 does not
+        got = retardance_from_physics(1e300, 1e10, 1e300)
+        assert got == pytest.approx(2 * math.pi * 1e16, rel=1e-15)
 
 
 class TestAxisCalibration:
@@ -108,6 +114,19 @@ class TestAxisCalibration:
             AxisCalibration(((0.0, 0.0), (0.0, 5.0)))
         with pytest.raises(ValueError):
             AxisCalibration(((10.0, 5.0), (5.0, 10.0)))
+
+    def test_non_finite_sample_named(self):
+        # the range rules reject NaN and infinities, naming the value
+        for samples, message in [
+                (((0.0, 0.0), (math.nan, 5.0)),
+                 "theta nan out of range [0, 180]"),
+                (((0.0, math.inf), (5.0, 5.0)),
+                 "alpha inf out of range [0, 180)"),
+                (((-math.inf, 0.0), (5.0, 5.0)),
+                 "theta -inf out of range [0, 180]")]:
+            with pytest.raises(ValueError) as info:
+                AxisCalibration(samples)
+            assert str(info.value) == message
 
     def test_ranges(self):
         with pytest.raises(ValueError):

@@ -226,6 +226,7 @@ class TestCrossCouplingRatio:
         for args, message in [
                 ((math.nan, 1.0), "k must be finite, got nan"),
                 ((math.inf, 1.0), "k must be finite, got inf"),
+                ((-math.inf, 1.0), "k must be finite, got -inf"),
                 ((0.1, math.inf), "length_mm must be finite, got inf"),
                 ((0.1, 1.0, math.nan),
                  "bend_phase_rad must be finite, got nan"),
@@ -265,6 +266,9 @@ class TestPdcLength:
                 ((math.nan, 0.0), "k_slow must be finite, got nan"),
                 ((math.inf, 0.0), "k_slow must be finite, got inf"),
                 ((1.0, math.nan), "k_fast must be finite, got nan"),
+                ((1.0, math.inf), "k_fast must be finite, got inf"),
+                ((0.0, math.inf), "k_fast must be finite, got inf"),
+                ((math.inf, math.inf), "k_slow must be finite, got inf"),
                 ((1e-320, 0.0), "length overflows: k_slow 1e-320, "
                                 "k_fast 0.0")]:
             with pytest.raises(ValueError) as info:
@@ -300,6 +304,9 @@ class TestBendPhase:
                 ((10.0, 5.0, math.nan), "delta_k must be finite, got nan"),
                 ((math.inf, 5.0, 1.0),
                  "l_straight_mm must be finite, got inf"),
+                ((5.0, math.inf, 1.0),
+                 "l_effective_mm must be finite, got inf"),
+                ((10.0, 5.0, -math.inf), "delta_k must be finite, got -inf"),
                 ((1e300, 5.0, 1e300),
                  "phase overflows: l_straight_mm 1e+300, l_effective_mm 5.0, "
                  "delta_k 1e+300")]:

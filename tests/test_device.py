@@ -248,10 +248,16 @@ class TestExtinction:
                 ((math.nan, 1.0), "p_num must be finite, got nan"),
                 ((math.inf, 1.0), "p_num must be finite, got inf"),
                 ((1.0, math.inf), "p_den must be finite, got inf"),
-                ((1e300, 0.0), "ratio overflows: p_num 1e+300, p_den 0.0")]:
+                ((-math.inf, 1.0), "p_num must be finite, got -inf")]:
             with pytest.raises(ValueError) as info:
                 extinction_db(*args)
             assert str(info.value) == message
+
+    def test_db_past_the_float_range_of_the_ratio(self):
+        # 1e300 / 1e-15 overflows, but its 3,150 dB does not
+        assert extinction_db(1e300, 0.0) == 3150.0
+        assert extinction_db(0.0, 1e300) == 3150.0
+        assert extinction_db(1e300, 1e-10) == 3100.0
 
     def test_ideal_device_clamp_limited(self):
         er_t, er_r = extinction_ratios(ideal_device())
