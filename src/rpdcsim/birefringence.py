@@ -6,6 +6,7 @@ import bisect
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,18 @@ class AxisUnobservableError(ValueError):
 
 
 def _check_retarder(r) -> None:
-    """Range rules of a retarder's finite fields; `RpdcDevice` shares them."""
+    """Range rules of a retarder's finite fields; `RpdcDevice` shares them.
+    The power t^2 must be a normal float, as a subnormal one loses digits."""
     if not 0 <= r.alpha_deg < 180:
         raise ValueError(f"alpha_deg must be in [0, 180), got {r.alpha_deg}")
     if r.retardance_rad < 0:
         raise ValueError(f"retardance_rad must be >= 0, got {r.retardance_rad}")
-    if not 0 < r.amplitude_transmittance <= 1:
-        raise ValueError("amplitude_transmittance must be in (0, 1], got "
-                         f"{r.amplitude_transmittance}")
+    t = r.amplitude_transmittance
+    if not 0 < t <= 1:
+        raise ValueError(f"amplitude_transmittance must be in (0, 1], got {t}")
+    if t * t < sys.float_info.min:
+        raise ValueError("amplitude_transmittance squared underflows to "
+                         f"{t * t:g}, got {t}")
 
 
 @dataclass(frozen=True)
@@ -194,8 +199,6 @@ def axis_from_offset(cal: AxisCalibration, theta_deg: float) -> float:
     samples are. It agrees with SciPy's PchipInterpolator to rounding.
     theta must lie in the calibrated range; nothing is extrapolated.
     """
-    if not 0 <= theta_deg <= 180:
-        raise ValueError(f"theta_deg {theta_deg} outside [0, 180]")
     lo, hi = cal.samples[0][0], cal.samples[-1][0]
     if not lo <= theta_deg <= hi:
         raise ValueError(f"theta_deg {theta_deg} outside calibrated range "

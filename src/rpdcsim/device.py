@@ -60,7 +60,7 @@ class RpdcDevice:
     residual slow-minus-fast phase of the straight section;
     amplitude_transmittance scales output fields (power goes as its square).
     Each axis phase k_axis length_mm + bend_phase_axis must be finite, and
-    the power amplitude_transmittance^2 above 0.
+    the power amplitude_transmittance^2 at least sys.float_info.min.
     """
 
     alpha_deg: float
@@ -82,17 +82,14 @@ class RpdcDevice:
                 "need k_slow_rad_per_mm >= k_fast_rad_per_mm >= 0 (the slow "
                 "axis couples at least as strongly), got k_slow "
                 f"{self.k_slow_rad_per_mm} and k_fast {self.k_fast_rad_per_mm}")
-        # each axis's phase k Z + phi, and the power t^2, must stay in the
-        # float range for sin, cos and the port powers to mean anything
+        # each axis's phase k Z + phi must stay in the float range for sin,
+        # cos and the port powers to mean anything
         for k, phi in (("k_slow_rad_per_mm", "bend_phase_slow_rad"),
                        ("k_fast_rad_per_mm", "bend_phase_fast_rad")):
             given = {k: getattr(self, k), "length_mm": self.length_mm,
                      phi: getattr(self, phi)}
             finite_result(given[k] * self.length_mm + given[phi],
                           f"phase {k} * length_mm + {phi}", **given)
-        if not self.amplitude_transmittance ** 2 > 0:
-            raise ValueError("amplitude_transmittance squared underflows to "
-                             f"0, got {self.amplitude_transmittance}")
 
     @property
     def coupler_slow(self) -> CouplerParams:

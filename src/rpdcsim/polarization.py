@@ -24,11 +24,12 @@ normalize by ``s0``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._files import check_finite
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -74,8 +75,7 @@ class JonesVector:
     e_v: complex
 
     def __post_init__(self):
-        if not (cmath.isfinite(self.e_h) and cmath.isfinite(self.e_v)):
-            raise ValueError("Jones components must be finite")
+        check_finite(**vars(self))
 
     @classmethod
     def from_array(cls, arr) -> "JonesVector":
@@ -133,8 +133,7 @@ class StokesVector:
     s3: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.as_tuple())):
-            raise ValueError("Stokes components must be finite")
+        check_finite(**vars(self))
 
     def as_tuple(self) -> tuple:
         return (self.s0, self.s1, self.s2, self.s3)

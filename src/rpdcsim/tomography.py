@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import read_csv
+from ._files import check_finite, read_csv
 from .device import RpdcDevice, port_transfer_matrices
 from .polarization import (
     DensityMatrix,
@@ -91,8 +91,7 @@ class MeasurementRecord:
     def __post_init__(self):
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
-        if not (math.isfinite(self.p0) and math.isfinite(self.p1)):
-            raise ValueError("record powers must be finite")
+        check_finite(p0=self.p0, p1=self.p1)
         if self.p0 < 0 or self.p1 < 0:
             raise ValueError(f"record powers must be >= 0, got "
                              f"({self.p0}, {self.p1})")
@@ -407,11 +406,12 @@ def mle_reconstruct(records) -> TomographyResult:
     scale = 4.0 ** min(-(e_max + e_min) // 4, (999 - e_max) // 2, 511)
     # each axis solves for u_i = 1 - |x_i|, its distance to the end +-1 that
     # its larger weight favours (x_i's sign); weights become (larger, smaller)
+    # and u_i starts from its exact value 2 smaller / (larger + smaller)
     pairs = [(max(a, b) * scale, min(a, b) * scale) for a, b in pairs]
     if not all(a + b > 0.0 for a, b in pairs):
         raise ValueError("a basis's outcome weights are lost in the scale for "
                          "another's, more than the float range apart")
-    u = [1.0 - abs(v) for v in x]
+    u = [2.0 * w / (big + w) for big, w in pairs]
 
     # phi(lam) = sum x_i(lam)^2 - 1 is bracketed by [lo, hi]. phi falls by at
     # most 16 r2 / min_i(a_i + b_i) per unit lam, from phi(0) = r2 - 1, so

@@ -51,6 +51,14 @@ class TestRotatedRetarder:
             RotatedRetarder(0.0, 1.0, amplitude_transmittance=0.0)
         with pytest.raises(ValueError):
             RotatedRetarder(0.0, 1.0, amplitude_transmittance=1.5)
+        # the device's power rule: t^2 must be a normal float
+        with pytest.raises(ValueError, match="^amplitude_transmittance "
+                                             "squared underflows to 0, "
+                                             "got 1e-200$"):
+            RotatedRetarder(0.0, 1.0, amplitude_transmittance=1e-200)
+        with pytest.raises(ValueError, match="squared underflows"):
+            RotatedRetarder(0.0, 1.0, amplitude_transmittance=1e-161)
+        RotatedRetarder(0.0, 1.0, amplitude_transmittance=1.5e-154)
 
     @pytest.mark.parametrize("field", [f.name for f in
                                        dataclasses.fields(RotatedRetarder)])

@@ -653,6 +653,39 @@ class TestArtifactWriter:
                                     "--out", str(out)]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("argv, text, want", [
+        (["coupler-sweep", "--device", SHIPPED_DEVICE, "--lengths", "1:2"],
+         None, "lengths_mm: range flag must be start:stop:step, got '1:2'"),
+        (["coupler-sweep", "--device", SHIPPED_DEVICE, "--lengths", "a:b:c"],
+         None, "lengths_mm: range parts must be numbers, got 'a:b:c'"),
+        (["coupler-sweep", "--device", SHIPPED_DEVICE, "--lengths", "1,x"],
+         None, "lengths_mm: values must be comma-separated numbers, "
+               "got '1,x'"),
+        (["coupler-sweep", "--device", SHIPPED_DEVICE, "--config"],
+         '{"lengths_mm": {"start": 2, "stop": 1, "step": 0.5}}',
+         "lengths_mm: stop 1.0 < start 2.0"),
+        (["axis-cal", "--thetas", "0,40", "--calibration"],
+         "theta_deg,alpha_deg\n0,10\n90,20\n45,30\n",
+         "{path}: calibration thetas must be strictly increasing"),
+        (["tomography", "--records"],
+         "basis,p0,p1\nHV,nan,1\nDA,1,1\nRL,1,1\n",
+         "{path}:2: p0 must be finite, got nan"),
+    ], ids=["range-flag-parts", "range-flag-numbers", "list-flag-numbers",
+            "config-range-order", "calibration-order", "record-power-nan"])
+    def test_input_error_makes_no_directory(self, tmp_path, capsys, argv,
+                                            text, want):
+        # the last argument names an input file holding `text`, if any
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text)
+            argv = argv + [str(path)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {want.format(path=path)}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, names", [
         (["axis-cal", "--calibration", CALIBRATION, "--thetas", "0,90"],
          ["axis_cal.csv"]),
@@ -943,7 +976,9 @@ class TestMalformedFiles:
         ({"k_slow_rad_per_mm": 1.7e308, "bend_phase_slow_rad": 1.7e308},
          "bend_phase_slow_rad 1.7e+308"),
         ({"transmittance": 1e-320}, "amplitude_transmittance squared"),
-    ], ids=["phase-overflow", "bend-phase-overflow", "power-underflow"])
+        ({"transmittance": 1e-161}, "amplitude_transmittance squared"),
+    ], ids=["phase-overflow", "bend-phase-overflow", "power-underflow",
+            "power-subnormal"])
     def test_values_past_the_float_range_exit_2(self, tmp_path, capsys,
                                                 changes, named):
         # each field is finite and in range, but the phase k L + phi or the

@@ -153,10 +153,19 @@ class TestConstruction:
                                  "to 0, got 1e-320"):
             make_pdc_device(45.0, 0.2, 0.1, 23.0,
                             amplitude_transmittance=1e-320)
-        # a transmittance whose square is still a float above 0 is kept
+        # a subnormal square keeps too few digits: at t = 1e-161 tomography
+        # of A through data/device_45deg.json once gave fidelity 0.909,
+        # where the shipped transmittance gives 0.975 (loss does not
+        # change fidelity)
+        for t in (3e-162, 1e-161, 1.49e-154):
+            with pytest.raises(ValueError,
+                               match=f"squared underflows to .*, got {t}$"):
+                make_pdc_device(45.0, 0.2, 0.1, 23.0,
+                                amplitude_transmittance=t)
+        # a transmittance whose square is a normal float is kept
         dev = make_pdc_device(45.0, 0.2, 0.1, 23.0,
-                              amplitude_transmittance=3e-162)
-        assert dev.amplitude_transmittance ** 2 > 0
+                              amplitude_transmittance=1.5e-154)
+        assert dev.amplitude_transmittance ** 2 >= sys.float_info.min
 
     def test_bend_phases_scale_with_k(self):
         dev = make_pdc_device(45.0, 0.2, 0.1, 23.0, bend_length_mm=5.5)

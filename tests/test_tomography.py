@@ -565,6 +565,10 @@ class TestMleReconstruct:
             (("HV", 5.745228873611274e-249, 0.0),
              ("DA", 2.1808305078142976e-219, 0.0),
              ("RL", 2.209882583045127e-237, 0.0)),
+            # r^2 - 1 is under the stop tolerance, so no multiplier step is
+            # taken; DA's x rounds to 1, so 1 - |x| lost its smaller weight
+            # and the log-likelihood read -inf
+            (("HV", 1.0, 1.0 + 1e-7), ("DA", 1e20, 1.0), ("RL", 1.0, 1.0)),
         )
         for case in cases:
             recs = tuple(MeasurementRecord(b, float(p0), float(p1))
