@@ -213,15 +213,16 @@ def retarder_jones(r: RotatedRetarder) -> np.ndarray:
     return rotated_diagonal(r.alpha_deg, t * np.exp(-half), t * np.exp(half))
 
 
-def _crossed_power(jones: list, pol_angle_deg: float) -> float:
-    """|e_{p+90}^T J e_p|^2: unit power aligned with polarizer p, through J,
-    then through the crossed polarizer p + 90. J is given as nested lists
-    of Python complex numbers, `ndarray.tolist()` of the Jones matrix."""
-    a = math.radians(pol_angle_deg)
-    c, s = math.cos(a), math.sin(a)
-    (j00, j01), (j10, j11) = jones
-    amp = c * (j10 * c + j11 * s) - s * (j00 * c + j01 * s)
-    return amp.real * amp.real + amp.imag * amp.imag
+def _crossed_trace(r: RotatedRetarder, angles_deg) -> list:
+    """t^2 sin^2(delta/2) sin^2(2(alpha - p)) at each polarizer angle p.
+
+    The contrast t^2 sin^2(delta/2) is formed once, so every caller
+    evaluates the law in the same order and gets the same floats.
+    """
+    t = r.amplitude_transmittance
+    contrast = t * t * math.sin(r.retardance_rad / 2) ** 2
+    return [contrast * math.sin(2 * math.radians(r.alpha_deg - p)) ** 2
+            for p in angles_deg]
 
 
 def crossed_polarizer_transmission(r: RotatedRetarder,
@@ -229,9 +230,11 @@ def crossed_polarizer_transmission(r: RotatedRetarder,
     """Power through polarizer(p) -> retarder -> polarizer(p + 90).
 
     Unit power enters the first polarizer already aligned with it, so the
-    result is t^2 sin^2(2(alpha - p)) sin^2(delta/2).
+    result is |e_{p+90}^T J e_p|^2 = t^2 sin^2(2(alpha - p)) sin^2(delta/2)
+    for the Jones matrix J of `retarder_jones`, evaluated in that closed
+    form.
     """
-    return _crossed_power(retarder_jones(r).tolist(), pol_angle_deg)
+    return _crossed_trace(r, (pol_angle_deg,))[0]
 
 
 def _centred(v: list) -> list:
@@ -274,20 +277,42 @@ def fit_axis(angles_deg, powers) -> tuple:
     ps, ys = p.tolist(), y.tolist()
     if not all(map(math.isfinite, ps + ys)):
         raise ValueError("angles and powers must be finite")
-    # the normal equations with c0 eliminated by centering every column, in
-    # Python floats: a trace has few angles, and numpy's cost per call
-    # would outweigh the arithmetic
-    n = len(ps)
-    four_p = [math.radians(4.0 * a) for a in ps]
+    return _fit_powers(_fit_design(ps), ys)
+
+
+def _fit_design(angles_deg) -> tuple:
+    """The part of `fit_axis` that depends on the angles alone.
+
+    Returns (c, s, scc, sss, scs, det): the cos 4p and sin 4p columns
+    centred on their means, their sums of products, and the determinant of
+    the normal equations with c0 eliminated. The angles are finite Python
+    floats; numpy's cost per call would outweigh the arithmetic of a trace
+    of few angles.
+
+    Raises:
+        ValueError: the angles do not determine the fit.
+    """
+    n = len(angles_deg)
+    four_p = [math.radians(4.0 * a) for a in angles_deg]
     c = _centred([math.cos(a) for a in four_p])
     s = _centred([math.sin(a) for a in four_p])
-    dy = _centred(ys)
     scc, sss, scs = _dot(c, c), _dot(s, s), _dot(c, s)
     det = scc * sss - scs * scs
     # det/N^2 lies in [0, 1/4]; 1/4 for angles spread evenly mod 90
     if not det > 1e-9 * n ** 2:
         raise ValueError("the angles do not determine the fit: need at "
                          "least three angles distinct mod 90 degrees")
+    return c, s, scc, sss, scs, det
+
+
+def _fit_powers(design: tuple, ys: list) -> tuple:
+    """(axis mod 90, contrast) of the powers ys on a `_fit_design`.
+
+    ys is a list of finite Python floats, one per angle of the design; the
+    rules and messages past the finite check are those of `fit_axis`.
+    """
+    c, s, scc, sss, scs, det = design
+    dy = _centred(ys)
     scy, ssy = _dot(c, dy), _dot(s, dy)
     c1 = (sss * scy - scs * ssy) / det
     c2 = (scc * ssy - scs * scy) / det
@@ -303,14 +328,20 @@ def fit_axis(angles_deg, powers) -> tuple:
     return (0.0 if alpha == 90.0 else alpha), contrast
 
 
+# the fit design of the angles find_axis samples, built once
+_AXIS_DESIGN = _fit_design(_AXIS_ANGLES)
+
+
 def find_axis(r: RotatedRetarder) -> float:
     """Axis of `r` mod 90, in [0, 90), from its crossed-polarizer trace.
 
     The transmission minimum sits on the optical axis mod 90; fast and slow
-    are not distinguishable this way. The trace is sampled at the eight
-    angles k * 11.25 degrees, an orthogonal design for the harmonic fit of
+    are not distinguishable this way. The closed-form trace of
+    `crossed_polarizer_transmission` is sampled at the eight angles
+    k * 11.25 degrees, an orthogonal design for the harmonic fit of
     `fit_axis`, which gives the axis in closed form to rounding (about
-    1e-13 degrees).
+    1e-13 degrees). The design of those angles is built once, at import;
+    the result equals `fit_axis` of the same angles and samples exactly.
 
     Raises:
         AxisUnobservableError: retardance is a multiple of 2 pi, so the
@@ -320,6 +351,4 @@ def find_axis(r: RotatedRetarder) -> float:
         raise AxisUnobservableError(
             f"retardance {r.retardance_rad} rad is a whole number of waves; "
             "crossed-polarizer transmission is identically zero")
-    jones = retarder_jones(r).tolist()
-    return fit_axis(_AXIS_ANGLES, [_crossed_power(jones, p)
-                                   for p in _AXIS_ANGLES])[0]
+    return _fit_powers(_AXIS_DESIGN, _crossed_trace(r, _AXIS_ANGLES))[0]

@@ -167,13 +167,15 @@ def _axis_powers(dev: RpdcDevice, length_mm) -> tuple:
 
     The unit-input, loss-free port powers of each axis's coupler at length
     Z: cross then bar, slow then fast. They are the squared moduli of the
-    entries of `coupler_transfer_matrix`, so no matrix is built. Z is one
-    length or an array of them; numpy evaluates the powers elementwise, so
-    one length gives numpy scalars.
+    entries of `coupler_transfer_matrix`, so no matrix is built. Z is an
+    array of lengths, evaluated elementwise by numpy, or one length,
+    evaluated by `math` in Python floats.
     """
+    trig = np if isinstance(length_mm, np.ndarray) else math
     s = dev.k_slow_rad_per_mm * length_mm + dev.bend_phase_slow_rad
     f = dev.k_fast_rad_per_mm * length_mm + dev.bend_phase_fast_rad
-    sin_s, sin_f, cos_s, cos_f = np.sin(s), np.sin(f), np.cos(s), np.cos(f)
+    sin_s, sin_f = trig.sin(s), trig.sin(f)
+    cos_s, cos_f = trig.cos(s), trig.cos(f)
     return sin_s * sin_s, sin_f * sin_f, cos_s * cos_s, cos_f * cos_f
 
 
@@ -186,8 +188,7 @@ def axis_port_powers(dev: RpdcDevice) -> PortPowers:
     powers are Python floats.
     """
     t2 = dev.amplitude_transmittance ** 2
-    return PortPowers(*(float(t2 * p)
-                        for p in _axis_powers(dev, dev.length_mm)))
+    return PortPowers(*(t2 * p for p in _axis_powers(dev, dev.length_mm)))
 
 
 def extinction_db(p_num: float, p_den: float) -> float:
@@ -300,6 +301,11 @@ class SweepPoint(NamedTuple):
     p_r_fast: float
 
 
+# a row from five values: `SweepPoint._make` without its Python frame and
+# length check, which the five-list zip of `sweep_coupling_length` makes moot
+_sweep_row = functools.partial(tuple.__new__, SweepPoint)
+
+
 def sweep_coupling_length(dev: RpdcDevice, lengths_mm) -> list:
     """Port powers for axis-aligned inputs across coupling lengths.
 
@@ -321,7 +327,7 @@ def sweep_coupling_length(dev: RpdcDevice, lengths_mm) -> list:
     bad = np.flatnonzero(~(z >= 0) | np.isnan(powers[0] + powers[1]))
     if bad.size:
         dev.with_length(float(z[bad[0]]))
-    return list(map(SweepPoint._make,
+    return list(map(_sweep_row,
                     zip(z.tolist(), *(p.tolist() for p in powers))))
 
 

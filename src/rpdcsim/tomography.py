@@ -272,19 +272,28 @@ def _frequencies(pairs) -> list:
 def _log_likelihood(pairs, probs) -> float:
     """sum a log(p_a/n) + b log(p_b/n), weights (a, b), probs (p_a, p_b, n).
 
-    0 log 0 = 0; -inf if an outcome with positive weight has p <= 0. A
-    ratio below the float range is taken as log p - log n, so an outcome
-    whose frequency is below rounding keeps its term.
+    0 log 0 = 0; -inf if an outcome with positive weight has p <= 0. With
+    q = p_small/n, the more probable outcome's log is log1p(-q), so its
+    term stays when its frequency rounds to 1, and the other's is log q.
+    Where q is below the normal range, and so has lost digits or rounded
+    to 0, the two terms are -(w_large/n) p_small and
+    w_small (log p_small - log n), so neither is lost.
     """
     ll = 0.0
     for (a, b), (p_a, p_b, n) in zip(pairs, probs):
-        for w, p in ((a, p_a), (b, p_b)):
-            if w == 0.0:
-                continue
-            if p <= 0.0:
-                return -math.inf
-            f = p / n
-            ll += w * (math.log(f) if f > 0.0 else math.log(p) - math.log(n))
+        if a == 0.0 and b == 0.0:
+            continue
+        if p_a < p_b:
+            a, b, p_a, p_b = b, a, p_b, p_a
+        if (a != 0.0 and p_a <= 0.0) or (b != 0.0 and p_b <= 0.0):
+            return -math.inf
+        q = p_b / n
+        normal = q >= sys.float_info.min
+        if a != 0.0:
+            ll += a * math.log1p(-q) if normal else -(a / n) * p_b
+        if b != 0.0:
+            ll += b * (math.log(q) if normal
+                       else math.log(p_b) - math.log(n))
     return ll
 
 

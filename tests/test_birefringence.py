@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +457,31 @@ class TestCrossedPolarizers:
                     * math.sin(delta / 2) ** 2)
             assert got == pytest.approx(want, abs=1e-12)
 
+    def test_huge_polarizer_angle_stays_finite(self):
+        # the angle is converted before it is doubled, so 2(alpha - p)
+        # does not overflow for a finite p
+        r = RotatedRetarder(28.0, 2.3, 0.9)
+        contrast = 0.81 * math.sin(1.15) ** 2
+        for p in (1e308, -1.7e308, sys.float_info.max):
+            got = crossed_polarizer_transmission(r, p)
+            assert 0.0 <= got <= contrast * (1 + 1e-15)
+
+    def test_closed_form_matches_jones_model(self):
+        # oracle: |e_{p+90}^T J e_p|^2 from the matrix J of retarder_jones,
+        # over lossy retarders of up to two waves and polarizers past a turn
+        rng = np.random.default_rng(60)
+        for _ in range(1000):
+            r = RotatedRetarder(rng.uniform(0, 180),
+                                rng.uniform(0, 4 * math.pi),
+                                rng.uniform(0.1, 1.0))
+            p = rng.uniform(-90, 270)
+            a = math.radians(p)
+            e_in = np.array([math.cos(a), math.sin(a)])
+            e_out = np.array([-math.sin(a), math.cos(a)])
+            want = abs(e_out @ retarder_jones(r) @ e_in) ** 2
+            assert crossed_polarizer_transmission(r, p) == pytest.approx(
+                want, abs=4e-15)
+
     def test_period_90_for_half_wave(self):
         r = RotatedRetarder(12.0, math.pi)
         for p in np.linspace(0, 90, 181):
@@ -558,6 +584,14 @@ class TestFitAxis:
         trace = [crossed_polarizer_transmission(r, p) for p in self.ORTHOGONAL]
         assert find_axis(r) == fit_axis(self.ORTHOGONAL, trace)[0]
         assert axis_error(find_axis(r), 118.0) < 1e-12
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            r = RotatedRetarder(rng.uniform(0, 180),
+                                rng.uniform(0.1, 4 * math.pi - 0.1),
+                                rng.uniform(0.1, 1.0))
+            trace = [crossed_polarizer_transmission(r, p)
+                     for p in self.ORTHOGONAL]
+            assert find_axis(r) == fit_axis(self.ORTHOGONAL, trace)[0]
 
     def test_flat_trace_unobservable(self):
         with pytest.raises(AxisUnobservableError):

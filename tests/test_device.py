@@ -290,6 +290,7 @@ class TestExtinction:
         # straight device at L = pi/(2 dk) with K_F L = pi
         dev = make_pdc_device(45.0, math.pi / 19, 2 * math.pi / 57, 28.5)
         p = axis_port_powers(dev)
+        assert all(type(v) is float for v in dataclasses.astuple(p))
         assert p.t_slow == pytest.approx(1.0, abs=1e-12)
         assert p.t_fast == pytest.approx(0.0, abs=1e-12)
         er_t, er_r = extinction_ratios(dev)
@@ -561,6 +562,8 @@ class TestSweep:
         assert SweepPoint._fields == ("length_mm", "p_t_slow", "p_t_fast",
                                       "p_r_slow", "p_r_fast")
         for z, pt in zip(lengths, points):
+            assert type(pt) is SweepPoint
+            assert all(type(v) is float for v in pt)
             assert tuple(pt) == (float(z), *_axis_powers(dev, float(z)))
             assert pt.length_mm == pt[0] and pt.p_r_fast == pt[4]
         with pytest.raises(AttributeError):

@@ -407,6 +407,16 @@ class TestLinearReconstruct:
         assert ll == pytest.approx(mle_reconstruct(recs).log_likelihood,
                                    abs=1e-12)
 
+    def test_zero_weight_basis_adds_no_term(self):
+        # DA has counts (0, 0), so its frequencies are 0/0: linear inversion
+        # takes its powers and leaves its log-likelihood term out
+        recs = (MeasurementRecord("HV", 0.6, 0.4, counts=(60, 40)),
+                MeasurementRecord("DA", 0.5, 0.5, counts=(0, 0)),
+                MeasurementRecord("RL", 0.7, 0.3, counts=(70, 30)))
+        want = sum(w * math.log(w / 100) for w in (60, 40, 70, 30))
+        assert linear_reconstruct(recs).log_likelihood == pytest.approx(
+            want, rel=1e-15, abs=0.0)
+
     def test_missing_basis(self):
         with pytest.raises(ValueError, match="missing record.*RL"):
             linear_reconstruct((MeasurementRecord("HV", 1.0, 0.0),
@@ -709,6 +719,30 @@ class TestMleReconstruct:
         assert res.stokes.as_tuple() == (1.0, 0.0, 0.0, 1.0)
         for ll in (res.log_likelihood, linear_reconstruct(recs).log_likelihood):
             assert ll == pytest.approx(want, rel=1e-15)
+
+    def test_larger_frequency_rounding_to_one_keeps_its_term(self):
+        # DA's frequency 1e20/(1e20 + 1) rounds to 1, yet its term
+        # 1e20 log(1e20/(1e20 + 1)) is -1. The value is the exact
+        # log-likelihood of these frequencies, from a 60-digit evaluation.
+        # Linear inversion reads it from the weights; the MLE, which takes
+        # no step here, from its boundary coordinates (2 - u, u, 2)
+        recs = (MeasurementRecord("HV", 1.0, 1.0 + 1e-7),
+                MeasurementRecord("DA", 1e20, 1.0),
+                MeasurementRecord("RL", 1.0, 1.0))
+        want = -49.824290651435410514498999345937293745007213108550
+        for ll in (linear_reconstruct(recs).log_likelihood,
+                   mle_reconstruct(recs).log_likelihood):
+            assert ll == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_frequency_below_normal_range_keeps_both_terms(self):
+        # each basis's smaller frequency 3e-23/1e300 is subnormal, held to
+        # about 1 %, and the larger outcome's term 1e300 log1p(-3e-323) =
+        # -3e-23 is 0.13 % of the total; both terms are taken from 3e-23 and
+        # 1e300. The value is exact, from a 60-digit evaluation
+        recs = tuple(MeasurementRecord(b, 1e300, 3e-23) for b in BASES)
+        want = -6.692727354735677879608418e-20
+        assert linear_reconstruct(recs).log_likelihood == pytest.approx(
+            want, rel=1e-15, abs=0.0)
 
     def test_basis_sum_past_the_float_range(self):
         # HV's sum 1.9e308 overflows; taken in quarters, its frequencies are
