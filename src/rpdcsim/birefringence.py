@@ -213,15 +213,13 @@ def retarder_jones(r: RotatedRetarder) -> np.ndarray:
     return rotated_diagonal(r.alpha_deg, t * np.exp(-half), t * np.exp(half))
 
 
-def _crossed_trace(r: RotatedRetarder, angles_deg) -> list:
-    """t^2 sin^2(delta/2) sin^2(2(alpha - p)) at each polarizer angle p.
-
-    The contrast t^2 sin^2(delta/2) is formed once, so every caller
-    evaluates the law in the same order and gets the same floats.
+def _unit_trace(alpha_deg: float, angles_deg) -> list:
+    """sin^2(2(alpha - p)) at each polarizer angle p: the crossed-polarizer
+    trace per unit contrast t^2 sin^2(delta/2), a positive common factor
+    that does not move the axis; without it the trace keeps its digits
+    where the contrast is subnormal.
     """
-    t = r.amplitude_transmittance
-    contrast = t * t * math.sin(r.retardance_rad / 2) ** 2
-    return [contrast * math.sin(2 * math.radians(r.alpha_deg - p)) ** 2
+    return [math.sin(2 * math.radians(alpha_deg - p)) ** 2
             for p in angles_deg]
 
 
@@ -232,9 +230,11 @@ def crossed_polarizer_transmission(r: RotatedRetarder,
     Unit power enters the first polarizer already aligned with it, so the
     result is |e_{p+90}^T J e_p|^2 = t^2 sin^2(2(alpha - p)) sin^2(delta/2)
     for the Jones matrix J of `retarder_jones`, evaluated in that closed
-    form.
+    form: the contrast t^2 sin^2(delta/2) times the unit trace.
     """
-    return _crossed_trace(r, (pol_angle_deg,))[0]
+    t = r.amplitude_transmittance
+    contrast = t * t * math.sin(r.retardance_rad / 2) ** 2
+    return contrast * _unit_trace(r.alpha_deg, (pol_angle_deg,))[0]
 
 
 def _centred(v: list) -> list:
@@ -336,12 +336,12 @@ def find_axis(r: RotatedRetarder) -> float:
     """Axis of `r` mod 90, in [0, 90), from its crossed-polarizer trace.
 
     The transmission minimum sits on the optical axis mod 90; fast and slow
-    are not distinguishable this way. The closed-form trace of
-    `crossed_polarizer_transmission` is sampled at the eight angles
-    k * 11.25 degrees, an orthogonal design for the harmonic fit of
-    `fit_axis`, which gives the axis in closed form to rounding (about
-    1e-13 degrees). The design of those angles is built once, at import;
-    the result equals `fit_axis` of the same angles and samples exactly.
+    are not distinguishable this way. The closed-form unit trace of
+    `_unit_trace` is sampled at the eight angles k * 11.25 degrees, an
+    orthogonal design for the harmonic fit of `fit_axis`, which gives the
+    axis in closed form to rounding (about 1e-13 degrees) at any contrast.
+    The design is built once, at import; the result equals `fit_axis` of
+    the same angles and unit samples exactly.
 
     Raises:
         AxisUnobservableError: retardance is a multiple of 2 pi, so the
@@ -351,4 +351,4 @@ def find_axis(r: RotatedRetarder) -> float:
         raise AxisUnobservableError(
             f"retardance {r.retardance_rad} rad is a whole number of waves; "
             "crossed-polarizer transmission is identically zero")
-    return _fit_powers(_AXIS_DESIGN, _crossed_trace(r, _AXIS_ANGLES))[0]
+    return _fit_powers(_AXIS_DESIGN, _unit_trace(r.alpha_deg, _AXIS_ANGLES))[0]

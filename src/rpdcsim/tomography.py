@@ -13,9 +13,9 @@ the HWP angle shifts by alpha/2, which rotates the analyzed pair onto the
 device's slow/fast axes. Outcome 0 is the cross port (slow axis), outcome
 1 the bar port.
 
-Each outcome is a POVM effect E = (J W)^dag (J W), for plate pair W and
-port Jones matrix J, and gives port power Re tr(E rho). The six effects are
-built once per device and reused by every later measurement through it.
+Each outcome's POVM effect is P_slow |s0><s0| + P_fast |s1><s1| for the
+basis pair (s0, s1) and its port's `axis_port_powers`; at any plate pair
+W, `project_probabilities` builds E = (J W)^dag (J W) from port matrix J.
 
 Reconstruction: linear Stokes inversion (raw differences of the paired
 probabilities; may be unphysical on noisy data) and maximum-likelihood
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import check_finite, read_csv
-from .device import RpdcDevice, port_transfer_matrices
+from .device import RpdcDevice, axis_port_powers, port_transfer_matrices
 from .polarization import (
     DensityMatrix,
     StokesVector,
@@ -184,23 +184,14 @@ def povm_effects(device: RpdcDevice) -> np.ndarray:
     device axes, where both ports are diagonal, so its effects are
     P_t_slow |s0><s0| + P_t_fast |s1><s1| and the same with P_r, for P =
     `axis_port_powers(device)`: retardance and coupler phases cancel.
-    Built once per device object and kept on it; a device made by
-    `with_length` or `dataclasses.replace` builds its own.
+    Built in that closed form on each call; no Jones matrix is formed.
     """
-    memo = getattr(device, "_effects_memo", None)
-    if memo is None:
-        j = port_transfer_matrices(device)
-        memo = np.array([_effects(j, waveplate_settings(b, device.alpha_deg))
-                         for b in BASES])
-        memo.flags.writeable = False
-        object.__setattr__(device, "_effects_memo", memo)
-    return memo
-
-
-def _powers(effects: np.ndarray, rho: DensityMatrix) -> np.ndarray:
-    """Re tr(E rho) for each effect E over the leading axes, clamped at 0."""
-    p = np.einsum("...ij,ji->...", effects, rho.matrix).real
-    return np.maximum(p, 0.0)
+    p = axis_port_powers(device)
+    pairs = np.array([[cardinal_density(s).matrix for s in BASIS_STATES[b]]
+                      for b in BASES])
+    slow, fast = pairs[:, 0], pairs[:, 1]
+    return np.stack([p.t_slow * slow + p.t_fast * fast,
+                     p.r_slow * slow + p.r_fast * fast], axis=1)
 
 
 def project_probabilities(rho: DensityMatrix, device: RpdcDevice,
@@ -209,10 +200,11 @@ def project_probabilities(rho: DensityMatrix, device: RpdcDevice,
 
     p0 is the cross-port power, p1 the bar-port power; for a lossless
     ideal device these are the Born probabilities of the analyzed basis.
-    Any setting is allowed, so its effects are built anew on each call.
+    Any setting is allowed, so its Jones effects are built on each call.
     """
-    p0, p1 = _powers(_effects(port_transfer_matrices(device), settings), rho)
-    return float(p0), float(p1)
+    effects = _effects(port_transfer_matrices(device), settings)
+    p0, p1 = np.einsum("...ij,ji->...", effects, rho.matrix).real.tolist()
+    return max(p0, 0.0), max(p1, 0.0)
 
 
 def measure_records(state: DensityMatrix, device: RpdcDevice,
@@ -224,8 +216,16 @@ def measure_records(state: DensityMatrix, device: RpdcDevice,
     generator, `np.random.default_rng(noise.seed)`, drawn in the order HV
     n0, HV n1, DA n0, DA n1, RL n0, RL n1; the record powers become
     frequencies.
+
+    A basis's powers are q P_t_slow + (1 - q) P_t_fast and the same with
+    P_r (`povm_effects`), each clamped at 0, for q = <s0|rho|s0>: rho_HH,
+    1/2 + Re rho_HV and 1/2 - Im rho_HV.
     """
-    powers = _powers(povm_effects(device), state).tolist()
+    p = axis_port_powers(device)
+    (hh, hv), _ = state.matrix.tolist()
+    powers = [(max(q * p.t_slow + (1.0 - q) * p.t_fast, 0.0),
+               max(q * p.r_slow + (1.0 - q) * p.r_fast, 0.0))
+              for q in (hh.real, 0.5 + hv.real, 0.5 - hv.imag)]
     if noise is None or noise.counts_per_basis is None:
         return tuple(MeasurementRecord(basis, p0, p1)
                      for basis, (p0, p1) in zip(BASES, powers))

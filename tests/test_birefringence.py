@@ -110,7 +110,7 @@ class TestRetardanceFromPhysics:
     def test_finite_past_the_float_range_of_delta_n_l(self):
         # delta_n L 1e6 overflows, but delta = 2 pi 1e16 does not
         got = retardance_from_physics(1e300, 1e10, 1e300)
-        assert got == pytest.approx(2 * math.pi * 1e16, rel=1e-15)
+        assert got == pytest.approx(2 * math.pi * 1e16, rel=1e-15, abs=0)
 
 
 class TestAxisCalibration:
@@ -288,9 +288,9 @@ class TestPchip:
         assert d == pytest.approx([2.5, 6 / 7, 0.0], rel=1e-15, abs=0)
         # midpoints, s = 1/2: (y0 + y1)/2 + h (d0 - d1)/8
         assert axis_from_offset(cal, 5.0) == pytest.approx(
-            10 + 10 * (2.5 - 6 / 7) / 8, rel=1e-14)
+            10 + 10 * (2.5 - 6 / 7) / 8, rel=1e-14, abs=0)
         assert axis_from_offset(cal, 20.0) == pytest.approx(
-            25 + 20 * (6 / 7) / 8, rel=1e-14)
+            25 + 20 * (6 / 7) / 8, rel=1e-14, abs=0)
 
     def test_end_slope_capped_at_three_secants(self):
         # nodes (0, 50), (1, 51), (2, 0): the three-point end estimate
@@ -579,9 +579,16 @@ class TestFitAxis:
             assert contrast == pytest.approx(2.0 * math.hypot(c1, c2),
                                              abs=1e-12)
 
+    @staticmethod
+    def unit_trace(r, angles):
+        # a lossless half-wave plate on r's axis has contrast
+        # sin^2(pi/2) = 1.0 exactly: its trace is r's per unit contrast
+        half_wave = RotatedRetarder(r.alpha_deg, math.pi)
+        return [crossed_polarizer_transmission(half_wave, p) for p in angles]
+
     def test_find_axis_is_the_fit_of_its_samples(self):
         r = RotatedRetarder(118.0, 1.9, 0.9)
-        trace = [crossed_polarizer_transmission(r, p) for p in self.ORTHOGONAL]
+        trace = self.unit_trace(r, self.ORTHOGONAL)
         assert find_axis(r) == fit_axis(self.ORTHOGONAL, trace)[0]
         assert axis_error(find_axis(r), 118.0) < 1e-12
         rng = np.random.default_rng(61)
@@ -589,9 +596,19 @@ class TestFitAxis:
             r = RotatedRetarder(rng.uniform(0, 180),
                                 rng.uniform(0.1, 4 * math.pi - 0.1),
                                 rng.uniform(0.1, 1.0))
-            trace = [crossed_polarizer_transmission(r, p)
-                     for p in self.ORTHOGONAL]
+            trace = self.unit_trace(r, self.ORTHOGONAL)
             assert find_axis(r) == fit_axis(self.ORTHOGONAL, trace)[0]
+            # the lossy trace is its contrast times the same unit trace
+            contrast = (r.amplitude_transmittance ** 2
+                        * math.sin(r.retardance_rad / 2) ** 2)
+            assert [crossed_polarizer_transmission(r, p)
+                    for p in self.ORTHOGONAL] == [contrast * u for u in trace]
+
+    def test_find_axis_below_normal_contrast(self):
+        # t^2 sin^2(delta/2) = 5.6e-323 is subnormal: a trace scaled by it
+        # keeps a digit or two and once gave 27.108737205730506
+        r = RotatedRetarder(28.0, 1e-7, 1.5e-154)
+        assert axis_error(find_axis(r), 28.0) < 1e-9
 
     def test_flat_trace_unobservable(self):
         with pytest.raises(AxisUnobservableError):

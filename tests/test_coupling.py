@@ -100,7 +100,7 @@ class TestAnalytic:
                                         rng.uniform(0, 2 * math.pi))
             amps = random_amps(rng)
             out = propagate_analytic(p, amps)
-            assert out.power == pytest.approx(amps.power, rel=1e-12)
+            assert out.power == pytest.approx(amps.power, rel=1e-12, abs=0)
 
     def test_composition(self):
         rng = np.random.default_rng(32)
@@ -251,7 +251,7 @@ class TestPdcLength:
     def test_halving_delta_doubles_length(self):
         l1 = pdc_coupling_length(1.2, 0.4)
         l2 = pdc_coupling_length(0.8, 0.4)
-        assert l2 == pytest.approx(2 * l1, rel=1e-13)
+        assert l2 == pytest.approx(2 * l1, rel=1e-13, abs=0)
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError, match="slow"):

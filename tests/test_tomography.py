@@ -13,6 +13,7 @@ from rpdcsim.device import (
     axis_port_powers,
     load_device,
     make_pdc_device,
+    port_transfer_matrices,
 )
 from rpdcsim.polarization import (
     DensityMatrix,
@@ -42,6 +43,7 @@ from rpdcsim.tomography import (
     run_tomography_experiment,
     save_measurement_csv,
     waveplate_settings,
+    _effects,
     _waveplate_operator,
 )
 
@@ -61,6 +63,14 @@ def random_density(rng) -> DensityMatrix:
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = a @ a.conj().T
     return DensityMatrix(m / np.trace(m).real)
+
+
+def random_device(rng) -> RpdcDevice:
+    """A lossy device with every field drawn at random, slow k >= fast k."""
+    k_fast, k_more = rng.uniform(0.0, 0.5, size=2)
+    return RpdcDevice(rng.uniform(0.0, 180.0), k_fast + k_more, k_fast,
+                      rng.uniform(0.0, 40.0), *rng.uniform(-4, 4, 2),
+                      rng.uniform(0.05, 1.0), rng.uniform(0.0, 2 * math.pi))
 
 
 def born_records(rho: DensityMatrix):
@@ -228,15 +238,12 @@ class TestEffects:
                 want = [np.trace(e @ rho.matrix).real for e in (e0, e1)]
                 assert p == pytest.approx(want, abs=1e-15)
 
-    def test_memoized_per_device(self):
+    def test_each_device_its_own_effects(self):
         dev = shipped_device()
         effects = povm_effects(dev)
-        assert povm_effects(dev) is effects
-        assert not effects.flags.writeable
         longer = dev.with_length(dev.length_mm + 1.0)
-        assert povm_effects(longer) is not effects
-        assert povm_effects(dev) is effects
         assert np.abs(povm_effects(longer) - effects).max() > 1e-3
+        assert np.array_equal(povm_effects(dev), effects)
         # the longer device's records follow its own effects
         rec = measure_records(cardinal_density("H"), longer)[0]
         want = [np.trace(e @ cardinal_density("H").matrix).real
@@ -246,24 +253,52 @@ class TestEffects:
     def test_closed_form_on_random_devices(self):
         # the plates turn each basis pair onto the device axes, where both
         # ports are diagonal, so retardance and coupler phases cancel:
-        # E_T = P_t_slow Pi_0 + P_t_fast Pi_1, E_R likewise with P_r
+        # the closed form E_T = P_t_slow Pi_0 + P_t_fast Pi_1 (E_R likewise
+        # with P_r) against the Jones effects (J W)^dag (J W)
         rng = np.random.default_rng(20)
         for _ in range(300):
-            k_fast, k_more = rng.uniform(0.0, 0.5, size=2)
-            dev = RpdcDevice(rng.uniform(0.0, 180.0), k_fast + k_more, k_fast,
-                             rng.uniform(0.0, 40.0), *rng.uniform(-4, 4, 2),
-                             rng.uniform(0.05, 1.0),
-                             rng.uniform(0.0, 2 * math.pi))
-            p = axis_port_powers(dev)
+            dev = random_device(rng)
+            j = port_transfer_matrices(dev)
             for basis, got in zip(BASES, povm_effects(dev)):
-                pi0, pi1 = (cardinal_density(s).matrix
-                            for s in BASIS_STATES[basis])
-                want = (p.t_slow * pi0 + p.t_fast * pi1,
-                        p.r_slow * pi0 + p.r_fast * pi1)
-                assert np.abs(got - np.array(want)).max() < 1e-14
+                want = _effects(j, waveplate_settings(basis, dev.alpha_deg))
+                assert np.abs(got - want).max() < 1e-14
 
 
 class TestMeasureRecords:
+    def test_equals_jones_projection_at_the_basis_settings(self):
+        # random devices and states, a third of them outside the Bloch ball
+        # so that the clamp at 0 runs; the Jones path is the oracle
+        rng = np.random.default_rng(26)
+        clamped = 0
+        for i in range(1000):
+            dev = random_device(rng)
+            bloch = rng.normal(size=3)
+            radius = rng.uniform(0.0, 1.0) if i % 3 else rng.uniform(1.0, 3.0)
+            rho = stokes_to_density(StokesVector(
+                1.0, *(radius * bloch / np.linalg.norm(bloch))))
+            for rec in measure_records(rho, dev):
+                want = project_probabilities(
+                    rho, dev, waveplate_settings(rec.basis, dev.alpha_deg))
+                assert (rec.p0, rec.p1) == pytest.approx(want, rel=0,
+                                                         abs=1e-15)
+                clamped += (rec.p0 == 0.0) + (rec.p1 == 0.0)
+        assert clamped > 10
+
+    @pytest.mark.parametrize("path", TestEffects.DEVICES)
+    @pytest.mark.parametrize("label", ["H", "V", "D", "A", "R", "L"])
+    def test_cardinal_states_exact(self, path, label):
+        # q = <s0|rho|s0> is 0, 1/2 or 1 exactly for a cardinal state, so
+        # each record is q P_slow + (1 - q) P_fast to the last bit
+        dev = load_device(path)
+        p = axis_port_powers(dev)
+        rho = cardinal_density(label)
+        for rec in measure_records(rho, dev):
+            s0 = cardinal_density(BASIS_STATES[rec.basis][0]).matrix
+            q = float(np.trace(s0 @ rho.matrix).real)
+            assert q in (0.0, 0.5, 1.0)
+            assert rec.p0 == q * p.t_slow + (1 - q) * p.t_fast
+            assert rec.p1 == q * p.r_slow + (1 - q) * p.r_fast
+
     def test_noiseless_defaults(self):
         recs = measure_records(cardinal_density("H"), IDEAL_0)
         assert tuple(r.basis for r in recs) == BASES
@@ -718,7 +753,7 @@ class TestMleReconstruct:
         res = mle_reconstruct(recs)
         assert res.stokes.as_tuple() == (1.0, 0.0, 0.0, 1.0)
         for ll in (res.log_likelihood, linear_reconstruct(recs).log_likelihood):
-            assert ll == pytest.approx(want, rel=1e-15)
+            assert ll == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_larger_frequency_rounding_to_one_keeps_its_term(self):
         # DA's frequency 1e20/(1e20 + 1) rounds to 1, yet its term
@@ -762,10 +797,10 @@ class TestMleReconstruct:
         res = mle_reconstruct(powers)
         assert res.converged and res.iterations == 0
         assert res.stokes.as_tuple()[:3] == (1.0, 0.0, 0.0)
-        assert res.stokes.s3 == pytest.approx(1 / 19, rel=1e-15)
+        assert res.stokes.s3 == pytest.approx(1 / 19, rel=1e-15, abs=0)
         for ll in (res.log_likelihood, mle_reconstruct(counts).log_likelihood,
                    linear_reconstruct(counts).log_likelihood):
-            assert ll == pytest.approx(want, rel=1e-15)
+            assert ll == pytest.approx(want, rel=1e-15, abs=0)
         with pytest.raises(ValueError, match=r"^basis HV: powers 1e\+308 and "
                                              r"9e\+307 sum past the float "
                                              "range"):
@@ -954,8 +989,8 @@ class TestRecordValidation:
         recs = measure_records(cardinal_density("H"), IDEAL_0,
                                NoiseConfig(counts_per_basis=limit, seed=3))
         assert max(r.p0 for r in recs) == pytest.approx(1.0, abs=1e-12)
-        assert max(max(r.counts) for r in recs) == pytest.approx(limit,
-                                                                  rel=1e-6)
+        assert max(max(r.counts) for r in recs) == pytest.approx(
+            limit, rel=1e-6, abs=0)
         assert mle_reconstruct(recs).converged
         np.random.default_rng(0).poisson(2.0 * limit)
 
