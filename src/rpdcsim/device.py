@@ -24,7 +24,7 @@ import numpy as np
 
 from ._files import (check_fields, check_finite, finite_result, read_json,
                      read_number)
-from .birefringence import RotatedRetarder, _check_retarder, retarder_jones
+from .birefringence import _check_retarder
 from .coupling import CouplerParams, coupler_transfer_matrix
 from .polarization import (
     JonesVector,
@@ -103,18 +103,6 @@ class RpdcDevice:
 
     def with_length(self, length_mm: float) -> "RpdcDevice":
         return dataclasses.replace(self, length_mm=length_mm)
-
-    @functools.cached_property
-    def _straight_region(self) -> list:
-        """The straight region's Jones matrix, nested lists of Python complex.
-
-        The rotated retarder of `simulate_axis_check`, its fast axis at
-        alpha_deg + 90, built once per device object and kept on it; a device
-        made by `with_length` or `dataclasses.replace` builds its own.
-        """
-        return retarder_jones(RotatedRetarder(
-            (self.alpha_deg + 90.0) % 180.0, self.retardance_rad,
-            self.amplitude_transmittance)).tolist()
 
 
 def make_pdc_device(alpha_deg: float, k_slow: float, k_fast: float,
@@ -245,19 +233,25 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     vector of the pure output field (e_h, e_v) of power p is
     (p, 2 Re(e_h e_v*), -2 Im(e_h e_v*), |e_h|^2 - |e_v|^2) / p, the Stokes
     vector of its projector. The visibility is the power balance between
-    e and e + 90, s3 cos 2e + s1 sin 2e. The region's Jones matrix is built
-    on the first call for a device object and kept on it
-    (`RpdcDevice._straight_region`); each call applies it to the input
-    field in complex scalars.
+    e and e + 90, s3 cos 2e + s1 sin 2e. The output field is the region's
+    closed form on the real input field v (Jones, JOSA 31, 488, 1941),
+    J v = t (cos(d/2) v + i sin(d/2) M v), M = [[cos 2a, sin 2a], [sin 2a,
+    -cos 2a]] the reflection about the slow axis a: no matrix is built.
     """
     if input_label not in _LINEAR_ANGLES:
         raise ValueError(f"input_label must be one of "
                          f"{', '.join(_LINEAR_ANGLES)}, got {input_label!r}")
     theta_in = _LINEAR_ANGLES[input_label]
-    (r_hh, r_hv), (r_vh, r_vv) = dev._straight_region
+    # the field, not the angle: A is (1, -1)/sqrt(2), at -45 degrees, and
+    # its angle of 135 would flip the sign of the output field
     state = cardinal_state(input_label)
-    x, y = complex(state.e_h), complex(state.e_v)
-    e_h, e_v = r_hh * x + r_hv * y, r_vh * x + r_vv * y
+    x, y = state.e_h, state.e_v
+    two_a = math.radians(2.0 * dev.alpha_deg)
+    cos_2a, sin_2a = math.cos(two_a), math.sin(two_a)
+    t, half = dev.amplitude_transmittance, 0.5 * dev.retardance_rad
+    in_phase, quadrature = t * math.cos(half), t * math.sin(half)
+    e_h = complex(in_phase * x, quadrature * (cos_2a * x + sin_2a * y))
+    e_v = complex(in_phase * y, quadrature * (sin_2a * x - cos_2a * y))
 
     expected_angle = (2.0 * dev.alpha_deg - theta_in) % 180.0
     jones = JonesVector(e_h, e_v)

@@ -93,10 +93,10 @@ class JonesVector:
         p = self.power
         if p == 0:
             raise ValueError("cannot normalize a zero Jones vector")
-        return JonesVector(self.e_h / np.sqrt(p), self.e_v / np.sqrt(p))
+        return JonesVector(self.e_h / math.sqrt(p), self.e_v / math.sqrt(p))
 
 
-_SQ2 = 1 / np.sqrt(2)
+_SQ2 = 1 / math.sqrt(2)
 CARDINAL_STATES = {
     "H": JonesVector(1, 0),
     "V": JonesVector(0, 1),
@@ -229,8 +229,10 @@ def stokes_to_density(s: StokesVector) -> DensityMatrix:
     if s.s0 <= 0:
         raise ValueError(f"total power s0 must be positive, got {s.s0}")
     x, y, z = s.s1 / s.s0, s.s2 / s.s0, s.s3 / s.s0
-    return DensityMatrix([[0.5 * (1 + z), complex(0.5 * x, -0.5 * y)],
-                          [complex(0.5 * x, 0.5 * y), 0.5 * (1 - z)]])
+    # 0.0 + v and 0.0 - v are never -0.0, so no entry is a negative zero
+    off_re, off_im = 0.0 + 0.5 * x, 0.0 + 0.5 * y
+    return DensityMatrix([[0.5 * (1 + z), complex(off_re, 0.0 - off_im)],
+                          [complex(off_re, off_im), 0.5 * (1 - z)]])
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -1,5 +1,6 @@
 """State representations, conversions and metrics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -87,6 +88,13 @@ class TestJonesVector:
     def test_normalized(self):
         v = JonesVector(3, 4j).normalized()
         assert v.power == pytest.approx(1, abs=1e-15)
+
+    def test_fields_are_python_numbers(self):
+        # numpy scalars would print as np.float64(...) in a repr
+        assert repr(cardinal_state("D")) == (
+            "JonesVector(e_h=0.7071067811865475, e_v=0.7071067811865475)")
+        assert repr(JonesVector(3, 4).normalized()) == (
+            "JonesVector(e_h=0.6, e_v=0.8)")
 
     def test_zero_normalize_rejected(self):
         with pytest.raises(ValueError):
@@ -307,6 +315,16 @@ class TestConversions:
         # raw powers: conversion normalizes by s0
         rho = stokes_to_density(StokesVector(2, 0, 0, 2))
         assert np.allclose(rho.matrix, [[1, 0], [0, 0]], atol=1e-15)
+
+    def test_no_entry_is_a_negative_zero(self):
+        # equal states must print the same, so no part of rho is -0.0, for
+        # components of either signed zero, at and off the poles
+        for s1, s2, s3 in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=3):
+            for s0 in (1.0, 2.0):
+                rho = stokes_to_density(StokesVector(s0, s1, s2, s3))
+                parts = rho.matrix.view(float).ravel().tolist()
+                assert not any(math.copysign(1.0, v) < 0 for v in parts
+                               if v == 0), (s0, s1, s2, s3, parts)
 
     def test_stokes_nonpositive_s0_rejected(self):
         with pytest.raises(ValueError):
