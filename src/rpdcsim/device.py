@@ -30,6 +30,8 @@ from .polarization import (
     JonesVector,
     StokesVector,
     cardinal_state,
+    density_to_stokes,
+    jones_to_density,
     rotated_diagonal,
 )
 
@@ -229,14 +231,13 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
     Models the parallel region alone as a rotated retarder (slow axis at
     alpha_deg, retardance retardance_rad, the device transmittance) and
     analyzes the output against the ideal half-wave image of the input,
-    the linear state e = 2 alpha - theta_in. The normalized output Stokes
-    vector of the pure output field (e_h, e_v) of power p is
-    (p, 2 Re(e_h e_v*), -2 Im(e_h e_v*), |e_h|^2 - |e_v|^2) / p, the Stokes
-    vector of its projector. The visibility is the power balance between
-    e and e + 90, s3 cos 2e + s1 sin 2e. The output field is the region's
-    closed form on the real input field v (Jones, JOSA 31, 488, 1941),
-    J v = t (cos(d/2) v + i sin(d/2) M v), M = [[cos 2a, sin 2a], [sin 2a,
-    -cos 2a]] the reflection about the slow axis a: no matrix is built.
+    the linear state e = 2 alpha - theta_in, through the Stokes vector of
+    the output field's projector. The visibility is the power balance
+    between e and e + 90, s3 cos 2e + s1 sin 2e. The output field is the
+    region's closed form on the real input field v (Jones, JOSA 31, 488,
+    1941), J v = t (cos(d/2) v + i sin(d/2) M v), M = [[cos 2a, sin 2a],
+    [sin 2a, -cos 2a]] the reflection about the slow axis a: no matrix is
+    built.
     """
     if input_label not in _LINEAR_ANGLES:
         raise ValueError(f"input_label must be one of "
@@ -255,13 +256,7 @@ def simulate_axis_check(dev: RpdcDevice, input_label: str) -> AxisCheckResult:
 
     expected_angle = (2.0 * dev.alpha_deg - theta_in) % 180.0
     jones = JonesVector(e_h, e_v)
-    p_h, p_v = abs(e_h) ** 2, abs(e_v) ** 2
-    p = p_h + p_v
-    if p == 0:
-        raise ValueError("zero Jones vector has no polarization state")
-    cross = e_h * e_v.conjugate()
-    stokes = StokesVector(1.0, 2.0 * cross.real / p, -2.0 * cross.imag / p,
-                          (p_h - p_v) / p)
+    stokes = density_to_stokes(jones_to_density(jones))
     two_e = math.radians(2.0 * expected_angle)
     visibility = stokes.s3 * math.cos(two_e) + stokes.s1 * math.sin(two_e)
     # ellipse angles from the polarized part; s3 is the H/V balance and

@@ -3,10 +3,13 @@
 Jones vectors, Stokes vectors, density matrices, the Pauli basis and the
 conversions among them, plus fidelity/purity metrics.
 
-Every state is a qubit, so no eigendecomposition is needed: for the entries
-of ``[[a, b], [c, d]]``, Stokes is ``(a + d, Re(b + c), Im(c - b), a - d)``,
-the eigenvalues are ``tr/2 -+ hypot((a - d)/2, |b|)``, and the fidelity is
-Hübner's ``tr(rho sigma) + 2 sqrt(det rho det sigma)`` (PLA 163, 239, 1992).
+Every state is a qubit, stored as half its Bloch vector h, so that
+``rho = 1/2 + h_1 sigma_1 + h_2 sigma_2 + h_3 sigma_3`` (see `DensityMatrix`),
+and no eigendecomposition is needed: Stokes is ``(1, 2h)``, the eigenvalues
+are ``1/2 -+ |h|``, and Hübner's fidelity ``tr(a b) + 2 sqrt(det a det b)``
+(PLA 163, 239, 1992) has ``tr(a b) = 1/2 + 2 h_a . h_b`` and
+``det a = 1/4 - |h_a|^2``. Only this module turns matrix entries into h and
+back.
 
 Conventions used throughout the package:
 
@@ -154,20 +157,24 @@ class StokesVector:
         return self.s0 > 0 and self.degree_of_polarization() <= 1 + DOP_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DensityMatrix:
-    """2x2 Hermitian trace-one operator.
+    """2x2 Hermitian trace-one operator, stored as half its Bloch vector.
 
-    Hermiticity and unit trace are hard invariants checked at construction.
-    Positivity is *not*: linear tomography on noisy data legitimately
-    produces indefinite matrices, which callers detect via
-    :meth:`is_physical` and repair through maximum-likelihood estimation.
+    `DensityMatrix(matrix)` checks the matrix: 2x2, finite, Hermitian and of
+    unit trace. It keeps `_h` = (Re rho_HV, Im rho_VH, (rho_HH - rho_VV)/2),
+    in which Hermiticity and unit trace hold by form; half, since a full
+    Bloch component 2 Re rho_HV can overflow where rho_HV is finite.
+    `.matrix` is built from h, read-only, on each read. Equal states compare
+    equal and hash alike. Positivity is *not* checked: noisy linear
+    tomography legitimately gives indefinite matrices, which callers detect
+    via :meth:`is_physical` and repair by maximum-likelihood estimation.
     """
 
-    matrix: np.ndarray
+    _h: tuple
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+    def __init__(self, matrix):
+        m = np.array(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got {m.shape}")
         if not all(map(math.isfinite, m.view(float).ravel().tolist())):
@@ -182,42 +189,56 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         if abs(a + d - 1) >= TRACE_TOL:
             raise ValueError(f"density matrix trace {a + d:.17g} != 1")
+        object.__setattr__(self, "_h", (b.real, c.imag,
+                                        0.5 * a.real - 0.5 * d.real))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        h1, h2, h3 = self._h
+        # 0.0 + v and 0.0 - v are never -0.0, so no entry is a negative zero
+        m = np.array([[0.5 + h3, complex(0.0 + h1, 0.0 - h2)],
+                      [complex(0.0 + h1, 0.0 + h2), 0.5 - h3]])
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        return m
 
     def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues ``tr/2 -+ hypot((a - d)/2, |b|)``, ascending."""
-        return np.array(self._spectrum())
+        """Real eigenvalues ``1/2 -+ |h|``, ascending."""
+        half = math.hypot(*self._h)
+        return np.array([0.5 - half, 0.5 + half])
 
     def min_eigenvalue(self) -> float:
-        return self._spectrum()[0]
-
-    def _spectrum(self) -> tuple:
-        (a, b), (_, d) = self.matrix.tolist()
-        half = math.hypot(0.5 * (a.real - d.real), b.real, b.imag)
-        return 0.5 * (a.real + d.real) - half, 0.5 * (a.real + d.real) + half
+        return 0.5 - math.hypot(*self._h)
 
     def is_physical(self) -> bool:
         return self.min_eigenvalue() >= PSD_EIGENVALUE_FLOOR
 
 
-RHO_MIXED = DensityMatrix(np.eye(2, dtype=complex) / 2)
+def _density(h1: float, h2: float, h3: float) -> DensityMatrix:
+    """The state of half Bloch vector h; only its finiteness is checked."""
+    if not (math.isfinite(h1) and math.isfinite(h2) and math.isfinite(h3)):
+        raise ValueError("density matrix entries must be finite")
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "_h", (h1, h2, h3))
+    return rho
+
+
+RHO_MIXED = _density(0.0, 0.0, 0.0)
 
 
 def jones_to_density(v: JonesVector) -> DensityMatrix:
     """Rank-one projector ``v v^dag / |v|^2`` of a pure state."""
-    p = v.power
+    p_h, p_v = abs(v.e_h) ** 2, abs(v.e_v) ** 2
+    p = p_h + p_v
     if p == 0:
         raise ValueError("zero Jones vector has no polarization state")
-    arr = v.as_array()
-    return DensityMatrix(np.outer(arr, arr.conj()) / p)
+    cross = v.e_h * v.e_v.conjugate()
+    return _density(cross.real / p, -cross.imag / p, 0.5 * ((p_h - p_v) / p))
 
 
 def density_to_stokes(rho: DensityMatrix) -> StokesVector:
     """Stokes components ``s_i = trace(rho sigma_i)`` (so ``s0 = 1``)."""
-    (a, b), (c, d) = rho.matrix.tolist()
-    return StokesVector((a + d).real, (b + c).real, (c - b).imag,
-                        (a - d).real)
+    h1, h2, h3 = rho._h
+    return StokesVector(1.0, 2.0 * h1, 2.0 * h2, 2.0 * h3)
 
 
 def stokes_to_density(s: StokesVector) -> DensityMatrix:
@@ -228,19 +249,16 @@ def stokes_to_density(s: StokesVector) -> DensityMatrix:
     """
     if s.s0 <= 0:
         raise ValueError(f"total power s0 must be positive, got {s.s0}")
-    x, y, z = s.s1 / s.s0, s.s2 / s.s0, s.s3 / s.s0
-    # 0.0 + v and 0.0 - v are never -0.0, so no entry is a negative zero
-    off_re, off_im = 0.0 + 0.5 * x, 0.0 + 0.5 * y
-    return DensityMatrix([[0.5 * (1 + z), complex(off_re, 0.0 - off_im)],
-                          [complex(off_re, off_im), 0.5 * (1 - z)]])
+    return _density(0.5 * (s.s1 / s.s0), 0.5 * (s.s2 / s.s0),
+                    0.5 * (s.s3 / s.s0))
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity ``(trace sqrt(sqrt(a) b sqrt(a)))^2`` in [0, 1].
 
-    Computed by Hübner's qubit closed form ``tr(a b) + 2 sqrt(det a det b)``,
-    each determinant clamped at 0. Equals ``<psi|a|psi>`` when ``b`` is the
-    pure state ``|psi><psi|``.
+    Computed by Hübner's qubit closed form ``tr(a b) + 2 sqrt(det a det b)``
+    in the half Bloch vectors, each determinant clamped at 0. Equals
+    ``<psi|a|psi>`` when ``b`` is the pure state ``|psi><psi|``.
 
     Raises:
         ValueError: if either argument is not positive semidefinite.
@@ -250,15 +268,13 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
             raise ValueError(
                 f"fidelity argument {name} is not positive semidefinite "
                 f"(min eigenvalue {rho.min_eigenvalue():.3e})")
-    (a0, a1), (a2, a3) = a.matrix.tolist()
-    (b0, b1), (b2, b3) = b.matrix.tolist()
-    overlap = (a0 * b0 + a1 * b2 + a2 * b1 + a3 * b3).real
-    det_a = max((a0 * a3 - a1 * a2).real, 0.0)
-    det_b = max((b0 * b3 - b1 * b2).real, 0.0)
+    (a1, a2, a3), (b1, b2, b3) = a._h, b._h
+    overlap = 0.5 + 2.0 * (a1 * b1 + a2 * b2 + a3 * b3)
+    det_a = max(0.25 - (a1 * a1 + a2 * a2 + a3 * a3), 0.0)
+    det_b = max(0.25 - (b1 * b1 + b2 * b2 + b3 * b3), 0.0)
     return min(max(overlap + 2.0 * math.sqrt(det_a * det_b), 0.0), 1.0)
 
 
 def purity(rho: DensityMatrix) -> float:
-    """``trace(rho^2)``; 1 for pure states, 1/2 for the maximally mixed."""
-    (a, b), (c, d) = rho.matrix.tolist()
-    return (a * a + b * c + c * b + d * d).real
+    """``trace(rho^2) = 1/2 + 2 |h|^2``: 1 if pure, 1/2 if maximally mixed."""
+    return 0.5 + 2.0 * sum(v * v for v in rho._h)

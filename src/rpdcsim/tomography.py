@@ -92,6 +92,9 @@ class MeasurementRecord:
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
         check_finite(p0=self.p0, p1=self.p1)
+        # Python floats, as counts are ints: no numpy scalar reaches the MLE
+        object.__setattr__(self, "p0", float(self.p0))
+        object.__setattr__(self, "p1", float(self.p1))
         if self.p0 < 0 or self.p1 < 0:
             raise ValueError(f"record powers must be >= 0, got "
                              f"({self.p0}, {self.p1})")
@@ -218,14 +221,14 @@ def measure_records(state: DensityMatrix, device: RpdcDevice,
     frequencies.
 
     A basis's powers are q P_t_slow + (1 - q) P_t_fast and the same with
-    P_r (`povm_effects`), each clamped at 0, for q = <s0|rho|s0>: rho_HH,
-    1/2 + Re rho_HV and 1/2 - Im rho_HV.
+    P_r (`povm_effects`), each clamped at 0, for q = <s0|rho|s0>: 1/2 + h3,
+    1/2 + h1 and 1/2 + h2 in the state's half Bloch vector h.
     """
     p = axis_port_powers(device)
-    (hh, hv), _ = state.matrix.tolist()
+    h1, h2, h3 = state._h
     powers = [(max(q * p.t_slow + (1.0 - q) * p.t_fast, 0.0),
                max(q * p.r_slow + (1.0 - q) * p.r_fast, 0.0))
-              for q in (hh.real, 0.5 + hv.real, 0.5 - hv.imag)]
+              for q in (0.5 + h3, 0.5 + h1, 0.5 + h2)]
     if noise is None or noise.counts_per_basis is None:
         return tuple(MeasurementRecord(basis, p0, p1)
                      for basis, (p0, p1) in zip(BASES, powers))

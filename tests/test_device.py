@@ -371,6 +371,27 @@ class TestAxisCheck:
                 assert np.abs(np.subtract(r.stokes.as_tuple(),
                                           want.as_tuple())).max() <= 1e-15
 
+    def test_stokes_exact_at_the_transmittance_floor(self):
+        # near t^2 = sys.float_info.min the port powers |e_h|^2, |e_v|^2 are
+        # subnormal, where halving (p_h - p_v) before dividing by p would
+        # drop bits; the Stokes vector is the field's, bit for bit
+        rng = np.random.default_rng(17)
+        floor = math.sqrt(sys.float_info.min)
+        for t in (floor, 1.5e-154, 1.7e-154):
+            for _ in range(50):
+                dev = make_pdc_device(rng.uniform(0, 180), 0.2, 0.1, 23.0,
+                                      amplitude_transmittance=t,
+                                      retardance_rad=rng.uniform(0, 8))
+                for label in "HVDA":
+                    r = simulate_axis_check(dev, label)
+                    e_h, e_v = r.jones.e_h, r.jones.e_v
+                    p_h, p_v = abs(e_h) ** 2, abs(e_v) ** 2
+                    cross = e_h * e_v.conjugate()
+                    want = (1.0, 2.0 * cross.real / (p_h + p_v),
+                            -2.0 * cross.imag / (p_h + p_v),
+                            (p_h - p_v) / (p_h + p_v))
+                    assert r.stokes.as_tuple() == want, (dev, label)
+
     def test_bad_label(self):
         with pytest.raises(ValueError):
             simulate_axis_check(ideal_device(), "R")

@@ -184,6 +184,21 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0
 
+    def test_equal_states_compare_and_hash_alike(self):
+        # the same state from the constructor, from Stokes and from Jones
+        mixed = stokes_to_density(StokesVector(2.0, 0.0, 0.0, 0.0))
+        assert mixed == RHO_MIXED and hash(mixed) == hash(RHO_MIXED)
+        assert mixed == DensityMatrix(np.eye(2) / 2)
+        h = jones_to_density(cardinal_state("H"))
+        for same in (stokes_to_density(StokesVector(1, 0, 0, 1)),
+                     stokes_to_density(StokesVector(1, -0.0, -0.0, 1)),
+                     DensityMatrix(np.diag([1.0, 0.0]))):
+            assert same == h and hash(same) == hash(h)
+        assert len({h, mixed, RHO_MIXED}) == 2
+        v = jones_to_density(cardinal_state("V"))
+        assert v != h and v != mixed
+        assert len({density_to_stokes(rho) for rho in (h, mixed, v)}) == 3
+
     def test_matrix_is_a_copy(self):
         m = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
         rho = DensityMatrix(m)
@@ -379,6 +394,12 @@ class TestStokesVector:
     def test_physicality(self):
         assert StokesVector(1, 0, 0, 1).is_physical()
         assert not StokesVector(1, 1, 1, 0).is_physical()
+
+    @pytest.mark.parametrize("s0", [0.0, -0.0, -1.0])
+    def test_dop_needs_positive_total_power(self, s0):
+        with pytest.raises(ValueError, match="s0 > 0"):
+            StokesVector(s0, 0.0, 0.0, 0.0).degree_of_polarization()
+        assert not StokesVector(s0, 0.0, 0.0, 0.0).is_physical()
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

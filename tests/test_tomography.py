@@ -966,6 +966,23 @@ class TestRecordValidation:
         assert rec.counts == (3, 4)
         assert all(type(n) is int for n in rec.counts)
 
+    def test_numpy_powers_stored_as_python_floats(self):
+        # numpy scalars once carried into the boundary MLE, which warned
+        # "overflow encountered in scalar divide" and returned an np.float64
+        # log-likelihood; the state is that of the Python floats
+        powers = {"HV": (3.4127503867887232e-99, 2.300741728215294e-96),
+                  "DA": (1.3856552090387099e+31, 6.163913470021019e-117),
+                  "RL": (9.40209535036258e-145, 7.926642226838364e+99)}
+        recs = [MeasurementRecord(b, *map(np.float64, p))
+                for b, p in powers.items()]
+        assert all(type(r.p0) is float and type(r.p1) is float for r in recs)
+        got = mle_reconstruct(recs)
+        want = mle_reconstruct([MeasurementRecord(b, *p)
+                                for b, p in powers.items()])
+        assert got == want
+        assert type(got.log_likelihood) is float
+        assert got.iterations > 0
+
     def test_weights_fall_back_to_powers(self):
         r = MeasurementRecord("HV", 0.7, 0.3)
         assert r.weights == (0.7, 0.3)
