@@ -232,6 +232,7 @@ def crossed_polarizer_transmission(r: RotatedRetarder,
     for the Jones matrix J of `retarder_jones`, evaluated in that closed
     form: the contrast t^2 sin^2(delta/2) times the unit trace.
     """
+    check_finite(pol_angle_deg=pol_angle_deg)
     t = r.amplitude_transmittance
     contrast = t * t * math.sin(r.retardance_rad / 2) ** 2
     return contrast * _unit_trace(r.alpha_deg, (pol_angle_deg,))[0]
@@ -293,7 +294,8 @@ def _fit_design(angles_deg) -> tuple:
         ValueError: the angles do not determine the fit.
     """
     n = len(angles_deg)
-    four_p = [math.radians(4.0 * a) for a in angles_deg]
+    # 4 radians(a), not radians(4a): 4a overflows once |a| > 4.49e307
+    four_p = [4.0 * math.radians(a) for a in angles_deg]
     c = _centred([math.cos(a) for a in four_p])
     s = _centred([math.sin(a) for a in four_p])
     scc, sss, scs = _dot(c, c), _dot(s, s), _dot(c, s)

@@ -61,12 +61,7 @@ BLOCH_AXES = ("DA", "RL", "HV")
 # power, at most 1 at transmittance <= 1, so this leaves a factor of 9
 MAX_COUNTS_PER_BASIS = 1e18
 
-# cap on the safeguarded Newton steps of one per-axis solve; bisection
-# alone narrows [0, 1] below 1e-16 in 54 steps
-_AXIS_STEPS = 100
-# boundary case: a per-axis root stops once its Newton step is at most _XATOL
-# times its distance to +-1; the multiplier once |sum x_i^2 - 1| <= _FATOL
-_XATOL = 1e-10
+# boundary case: the multiplier stops once |sum x_i^2 - 1| <= _FATOL
 _FATOL = 1e-12
 _MAX_STEPS = 800
 
@@ -339,16 +334,16 @@ def _axis_root(w: float, n: float, lam: float, u: float) -> float:
     stationarity condition times u (2 - u), to full relative precision;
     h(0) = -2w <= 0 <= n - 2w = h(1). Newton from the warm start `u` (from
     1 if u <= 0, a spurious root for w = 0), kept inside the sign bracket
-    by bisection, stops once a step is at most `_XATOL` times u: a root
-    near 0 can sit close to a second root of h at 0, where Newton converges
-    only slowly. With w = 0, u = 0 (the end) while lam <= n/4.
+    by log-scale bisection (about 64 halvings of its binades close it),
+    stops at h = 0, at a step within 4 eps u, or once the bracket holds no
+    float strictly inside. With w = 0, u = 0 (the end) while lam <= n/4.
     """
     if w == 0.0 and lam <= 0.25 * n:
         return 0.0
     lo, hi = 0.0, 1.0
     if not u > 0.0:
         u = 1.0
-    for _ in range(_AXIS_STEPS):
+    while True:
         h = u * (n - 2.0 * lam * (1.0 - u) * (2.0 - u)) - 2.0 * w
         if h == 0.0:
             return u
@@ -358,14 +353,13 @@ def _axis_root(w: float, n: float, lam: float, u: float) -> float:
             hi = u
         slope = n - 2.0 * lam * (3.0 * u * u - 6.0 * u + 2.0)
         nxt = u - h / slope if slope > 0.0 else math.nan
-        if abs(nxt - u) <= _XATOL * u:
+        if abs(nxt - u) <= 4.0 * sys.float_info.epsilon * u:
             return nxt
         if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
+            nxt = math.sqrt(max(lo, 5e-324)) * math.sqrt(hi)
             if not lo < nxt < hi:  # bracket down to adjacent floats
                 return u
         u = nxt
-    return u
 
 
 def mle_reconstruct(records) -> TomographyResult:
@@ -393,9 +387,9 @@ def mle_reconstruct(records) -> TomographyResult:
         ValueError: a basis has both outcome weights zero, which leaves its
             Bloch component unidentified; or, off the interior, a basis's
             weights are lost in the scale.
-        MleDivergenceError: the root-find hit the step cap; the exception's
-            `result` field holds the last iterate, pulled into the ball
-            (converged=False).
+        MleDivergenceError: the multiplier's root-find hit its step cap;
+            the exception's `result` field holds the last iterate, pulled
+            into the ball (converged=False).
     """
     pairs = [r.weights for r in _bloch_records(records)]
     for basis, (a, b) in zip(BLOCH_AXES, pairs):
@@ -492,14 +486,17 @@ def load_measurement_csv(path) -> tuple:
 
 
 def save_measurement_csv(records, path, header_comment: str = "") -> None:
-    with_counts = all(r.counts is not None for r in records)
+    """Write `basis,p0,p1` CSV, with n0,n1 if every record has counts."""
+    without = [r.basis for r in records if r.counts is None]
+    if 0 < len(without) < len(records):
+        raise ValueError(f"basis {without[0]}: no counts, unlike the others")
     lines = []
     if header_comment:
         lines.append(f"# {header_comment}")
-    lines.append("basis,p0,p1,n0,n1" if with_counts else "basis,p0,p1")
+    lines.append("basis,p0,p1" if without else "basis,p0,p1,n0,n1")
     for r in records:
         row = f"{r.basis},{r.p0!r},{r.p1!r}"
-        if with_counts:
+        if r.counts is not None:
             row += f",{r.counts[0]},{r.counts[1]}"
         lines.append(row)
     with open(path, "w", encoding="utf-8") as fh:

@@ -466,6 +466,14 @@ class TestCrossedPolarizers:
             got = crossed_polarizer_transmission(r, p)
             assert 0.0 <= got <= contrast * (1 + 1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_polarizer_angle_rejected(self, bad):
+        # nan gave a NaN power and +-inf a bare math domain error
+        with pytest.raises(ValueError,
+                           match=f"^pol_angle_deg must be finite, got {bad}$"):
+            crossed_polarizer_transmission(RotatedRetarder(28.0, 2.3, 0.9),
+                                           bad)
+
     def test_closed_form_matches_jones_model(self):
         # oracle: |e_{p+90}^T J e_p|^2 from the matrix J of retarder_jones,
         # over lossy retarders of up to two waves and polarizers past a turn
@@ -637,6 +645,20 @@ class TestFitAxis:
             assert 0.8 * bound < rms[n] < 1.2 * bound
             assert errs.max() < 5 * bound
         assert rms[256] < rms[16] / 2
+
+    def test_angle_past_a_quarter_of_the_float_range(self):
+        # 4p overflows for p = 5e307, where radians(4p) gave a math domain
+        # error; the fit takes 4 radians(p), as the least-squares oracle of
+        # test_matches_least_squares_oracle does here
+        angles = np.array([5e307, 0.0, 10.0, 20.0])
+        powers = [1.0, 2.0, 3.0, 1.0]
+        four_p = 4.0 * np.radians(angles)
+        design = np.column_stack([np.ones(4), np.cos(four_p), np.sin(four_p)])
+        (_, c1, c2), *_ = np.linalg.lstsq(design, powers, rcond=None)
+        found, contrast = fit_axis(angles, powers)
+        assert axis_error(
+            found, math.degrees(math.atan2(-c2, -c1)) / 4.0) < 1e-12
+        assert contrast == pytest.approx(2.0 * math.hypot(c1, c2), abs=1e-12)
 
     def test_bad_input(self):
         with pytest.raises(ValueError, match="one length"):

@@ -347,6 +347,12 @@ class TestConversions:
         with pytest.raises(ValueError):
             stokes_to_density(StokesVector(-1, 0, 0, 0))
 
+    def test_stokes_past_float_range_rejected(self):
+        # s1/s0 = 1e310 overflows: the half Bloch vector would not be finite
+        with pytest.raises(ValueError,
+                           match="^density matrix entries must be finite$"):
+            stokes_to_density(StokesVector(1e-300, 1e10, 0.0, 0.0))
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

@@ -884,6 +884,26 @@ class TestMleReconstruct:
             u = tomography._axis_root(0.0, 4.0, 1.5, u0)
             assert abs(u - want) <= 2 * math.ulp(want), (u0, u)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1e9])
+    def test_axis_root_below_the_float_range(self, lam):
+        # the root, about 2e-330, is below the smallest float: Newton steps
+        # to 0, off the bracket, and halving the bracket from 1 stopped at a
+        # step cap between 9.1e-57 and 7.9e-31; bisection on a log scale
+        # closes it on the adjacent floats 0 and 5e-324
+        for u0 in self.WARM_STARTS:
+            u = tomography._axis_root(1e-320, 1e10, lam, u0)
+            assert 0.0 <= u <= 5e-324, (u0, u)
+
+    def test_log_likelihood_of_an_axis_root_below_the_float_range(self):
+        # HV's u is below the float range; a u left at 7.9e-31 put the
+        # log-likelihood at -3.9e277. The literal is from a 130-digit solve
+        res = mle_reconstruct((MeasurementRecord("HV", 1e308, 1e-17),
+                               MeasurementRecord("DA", 1.0, 0.0),
+                               MeasurementRecord("RL", 1.0, 1.0)))
+        assert res.stokes.as_tuple() == (1.0, 0.0, 0.0, 1.0)
+        assert res.log_likelihood == pytest.approx(-2.0794415416798434,
+                                                   rel=1e-15, abs=0)
+
     def test_zero_weight_basis_rejected(self):
         recs = (MeasurementRecord("HV", 0.6, 0.4, counts=(60, 40)),
                 MeasurementRecord("DA", 0.5, 0.5, counts=(0, 0)),
@@ -1042,6 +1062,19 @@ class TestMeasurementCsv:
         loaded = load_measurement_csv(p)
         assert loaded == recs
         assert all(r.counts is not None for r in loaded)
+
+    def test_mixed_counts_rejected(self, tmp_path):
+        # written without n0,n1, HV's and RL's weights would read back as
+        # their frequencies, and the MLE log-likelihood go from -46.88 to
+        # -1.62; nothing is written
+        recs = (MeasurementRecord("HV", 0.9, 0.1, counts=(90, 10)),
+                MeasurementRecord("DA", 0.7, 0.3),
+                MeasurementRecord("RL", 0.55, 0.45, counts=(11, 9)))
+        p = tmp_path / "m.csv"
+        with pytest.raises(ValueError,
+                           match="^basis DA: no counts, unlike the others$"):
+            save_measurement_csv(recs, p)
+        assert not p.exists()
 
     def test_comment_and_header(self, tmp_path):
         p = tmp_path / "m.csv"
