@@ -30,7 +30,6 @@ from .birefringence import (
 from .device import extinction_ratios, load_device, sweep_coupling_length
 from .polarization import CARDINAL_LABELS
 from .tomography import (
-    MleDivergenceError,
     NoiseConfig,
     cardinal_density,
     load_measurement_csv,
@@ -347,7 +346,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, body in artifacts.items():
             _write_artifact(out_dir / name, body, meta)
-    except (ValueError, OSError, MleDivergenceError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -61,17 +61,9 @@ BLOCH_AXES = ("DA", "RL", "HV")
 # power, at most 1 at transmittance <= 1, so this leaves a factor of 9
 MAX_COUNTS_PER_BASIS = 1e18
 
-# boundary case: the multiplier stops once |sum x_i^2 - 1| <= _FATOL
-_FATOL = 1e-12
-_MAX_STEPS = 800
-
 
 class MleDivergenceError(RuntimeError):
-    """MLE failed to converge; `.result` holds the last iterate in the ball."""
-
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
+    """No path raises it now: `mle_reconstruct` always ends. Kept by name."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,7 @@ class TomographyResult:
     stokes: StokesVector
     log_likelihood: float
     iterations: int
-    converged: bool
+    converged: bool  # True on every result
 
     @property
     def physical(self) -> bool:
@@ -295,10 +287,10 @@ def _log_likelihood(pairs, probs) -> float:
     return ll
 
 
-def _result(stokes, log_likelihood, iterations, converged) -> TomographyResult:
+def _result(stokes, log_likelihood, iterations) -> TomographyResult:
     return TomographyResult(rho=stokes_to_density(stokes), stokes=stokes,
                             log_likelihood=log_likelihood,
-                            iterations=iterations, converged=converged)
+                            iterations=iterations, converged=True)
 
 
 def linear_reconstruct(records) -> TomographyResult:
@@ -321,8 +313,7 @@ def linear_reconstruct(records) -> TomographyResult:
                          "float range, so s0 is not finite")
     stokes = StokesVector(s0, *(r.p0 - r.p1 for r in ordered))
     pairs = [r.weights for r in ordered]
-    return _result(stokes, _log_likelihood(pairs, _frequencies(pairs)), 0,
-                   True)
+    return _result(stokes, _log_likelihood(pairs, _frequencies(pairs)), 0)
 
 
 def _axis_root(w: float, n: float, lam: float, u: float) -> float:
@@ -332,11 +323,15 @@ def _axis_root(w: float, n: float, lam: float, u: float) -> float:
     -L log(1+x) - w log(1-x) + lam x^2 on [-1, 1]. Inside, u is the one
     root in [0, 1] of h(u) = u (n - 2 lam (1 - u)(2 - u)) - 2w, the
     stationarity condition times u (2 - u), to full relative precision;
-    h(0) = -2w <= 0 <= n - 2w = h(1). Newton from the warm start `u` (from
-    1 if u <= 0, a spurious root for w = 0), kept inside the sign bracket
-    by log-scale bisection (about 64 halvings of its binades close it),
-    stops at h = 0, at a step within 4 eps u, or once the bracket holds no
-    float strictly inside. With w = 0, u = 0 (the end) while lam <= n/4.
+    h(0) = -2w <= 0 <= n - 2w = h(1). While 2 lam <= n, h and its slope are
+    expanded, as the product loses 3u below u ~ eps; else the root is over
+    0.38, and the product keeps u = 1 exact. Newton from the warm start `u`
+    (1 if u <= 0, a spurious root for w = 0), in the sign bracket, which it
+    bisects on a log scale (at most 64 times), stops at h = 0, at a step
+    within 4 eps u, or once no float is strictly inside the bracket. h is
+    convex with a concave slope, so Newton from left of the root crosses
+    it, and from the right at least halves the distance: fewer than
+    117 - log2(u) < 1,200 steps. With w = 0, u = 0 while lam <= n/4.
     """
     if w == 0.0 and lam <= 0.25 * n:
         return 0.0
@@ -344,14 +339,15 @@ def _axis_root(w: float, n: float, lam: float, u: float) -> float:
     if not u > 0.0:
         u = 1.0
     while True:
-        h = u * (n - 2.0 * lam * (1.0 - u) * (2.0 - u)) - 2.0 * w
+        h = u * ((n - 4.0 * lam) + 2.0 * lam * u * (3.0 - u) if 2.0 * lam <= n
+                 else n - 2.0 * lam * (1.0 - u) * (2.0 - u)) - 2.0 * w
         if h == 0.0:
             return u
         if h < 0.0:
             lo = u
         else:
             hi = u
-        slope = n - 2.0 * lam * (3.0 * u * u - 6.0 * u + 2.0)
+        slope = (n - 4.0 * lam) + 6.0 * lam * u * (2.0 - u)
         nxt = u - h / slope if slope > 0.0 else math.nan
         if abs(nxt - u) <= 4.0 * sys.float_info.epsilon * u:
             return nxt
@@ -371,25 +367,30 @@ def mle_reconstruct(records) -> TomographyResult:
     it is the MLE, reached in 0 iterations. Boundary case: the optimum is
     on the sphere at x_i(lambda), the minimizer of the i-th term plus
     lambda x_i^2, where sum x_i(lambda)^2 = 1; that sum decreases in
-    lambda > 0, so one scalar root-find (Newton on lambda with a bisection
-    safeguard) fixes the multiplier. Each axis solves for u_i = 1 - |x_i|,
-    its distance to the end its larger weight favours, exact where x_i
-    rounds to +-1. The converged iterate x_i = +-(1 - u_i), pulled into the
-    ball, is the answer; the log-likelihood is the iterate's, of outcome
-    probabilities (2 - u_i)/2 and u_i/2. `iterations` counts multiplier steps.
-    The boundary case first scales all six weights by the power of four
-    that centres their magnitudes on 1, as far as the float range allows;
-    this moves every iterate exactly, so the state does not depend on it.
-    `log_likelihood` is -inf for an outcome of positive weight and zero
-    probability, and for a finite value below -sys.float_info.max.
+    lambda > 0, so one scalar root-find fixes the multiplier: Newton, or
+    log-scale bisection of its bracket [lo, hi] where Newton leaves it or
+    steps over half the last step. It stops once no float is inside the
+    bracket, or once phi = sum x_i^2 - 1 = (1 - b)^2 + (1 - c)^2 - a (2 - a),
+    for the sorted u_i a <= b <= c, is within its rounding 16 eps (a (2 - a)
+    + (1 - b^2) + (1 - c^2) + eps), as x_i = 1 - u_i is off by up to eps u_i;
+    with hi/lo < 2**2074, 65 bisections close the bracket. A Newton step is
+    at most half the last and over 2**-53 lo, so the first step and each
+    bisection start runs under 54 + log2(hi/lo) steps, halving at each
+    bisection: fewer than 66 * 54 + 3 * 2074 < 9,800 steps in all. Each axis
+    solves for u_i = 1 - |x_i|, its distance to the end its larger weight
+    favours, exact where x_i rounds to +-1. The converged iterate
+    x_i = +-(1 - u_i), pulled into the ball, is the answer; the
+    log-likelihood is the iterate's, of outcome probabilities (2 - u_i)/2
+    and u_i/2. The boundary case first scales all six weights by the power
+    of four that centres their magnitudes on 1, as far as the float range
+    allows; this moves every iterate exactly, so the state does not depend
+    on it. `log_likelihood` is -inf for an outcome of positive weight and
+    zero probability, and for a finite value below -sys.float_info.max.
 
     Raises:
         ValueError: a basis has both outcome weights zero, which leaves its
             Bloch component unidentified; or, off the interior, a basis's
             weights are lost in the scale.
-        MleDivergenceError: the multiplier's root-find hit its step cap;
-            the exception's `result` field holds the last iterate, pulled
-            into the ball (converged=False).
     """
     pairs = [r.weights for r in _bloch_records(records)]
     for basis, (a, b) in zip(BLOCH_AXES, pairs):
@@ -401,8 +402,7 @@ def mle_reconstruct(records) -> TomographyResult:
     r2 = sum(v * v for v in x)
     if r2 <= 1.0:
         # interior: the per-basis frequencies are the MLE
-        return _result(StokesVector(1.0, *x), _log_likelihood(pairs, freqs),
-                       0, True)
+        return _result(StokesVector(1.0, *x), _log_likelihood(pairs, freqs), 0)
 
     # scale by the 4^k that centres the binary exponents of each basis's
     # larger weight on 2^0, with no basis sum past 2^1000 (which would
@@ -427,9 +427,14 @@ def mle_reconstruct(records) -> TomographyResult:
     lam, hi = 0.0, 0.5 * math.hypot(*(a + b for a, b in pairs))
     last = math.inf  # length of the latest step
     steps = 0
-    while abs(r2 - 1.0) > _FATOL and steps < _MAX_STEPS:
-        steps += 1
-        if r2 > 1.0:
+    eps = sys.float_info.epsilon
+    while True:
+        a, b, c = sorted(u)  # phi around the axis nearest its end
+        phi = (1.0 - b) ** 2 + (1.0 - c) ** 2 - a * (2.0 - a)
+        if abs(phi) <= 16.0 * eps * (a * (2.0 - a) + (1.0 - b * b)
+                                     + (1.0 - c * c) + eps):
+            break
+        if phi > 0.0:
             lo = max(lo, lam)
         else:
             hi = lam
@@ -439,28 +444,24 @@ def mle_reconstruct(records) -> TomographyResult:
         slope = -sum(4.0 * (1.0 - v) ** 2 / (big / (2.0 - v) ** 2
                                              + w / v / v + 2.0 * lam)
                      for (big, w), v in zip(pairs, u) if v > 0.0)
-        nxt = lam - (r2 - 1.0) / slope if slope < 0.0 else math.nan
+        nxt = lam - phi / slope if slope < 0.0 else math.nan
         if not (lo < nxt < hi and abs(nxt - lam) <= 0.5 * last):
             # bisect, on a log scale, when Newton leaves the bracket or its
             # step is over half the last one, as in rtsafe (Press et al.,
             # Numerical Recipes, sec. 9.4): where a small axis's x_i ~ 1/lam
             # sets the slope, Newton only creeps up by lam/2 a step
             nxt = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < nxt < hi:  # bracket down to adjacent floats
+                break
+        steps += 1
         last = abs(nxt - lam)
         lam = nxt
         u = [_axis_root(w, big + w, lam, v) for (big, w), v in zip(pairs, u)]
-        r2 = sum((1.0 - v) ** 2 for v in u)
 
-    converged = abs(r2 - 1.0) <= _FATOL
     ll = _log_likelihood(pairs, [(2.0 - v, v, 2.0) for v in u])
-    r = math.sqrt(max(r2, 1.0))  # pulls the state into the ball
-    x = [math.copysign(1.0 - v, s) / r for v, s in zip(u, x)]
-    result = _result(StokesVector(1.0, *x), ll / scale, steps, converged)
-    if not converged:
-        raise MleDivergenceError(
-            f"MLE did not converge within {_MAX_STEPS} multiplier steps",
-            result)
-    return result
+    r = math.sqrt(1.0 + max(phi, 0.0))  # into the ball; 0.0 + v is never -0.0
+    x = [0.0 + math.copysign(1.0 - v, s) / r for v, s in zip(u, x)]
+    return _result(StokesVector(1.0, *x), ll / scale, steps)
 
 
 def run_tomography_experiment(true_state: DensityMatrix, device: RpdcDevice,

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from rpdcsim.tomography import (
     BASES,
     BASIS_STATES,
     MeasurementRecord,
-    MleDivergenceError,
     NoiseConfig,
     cardinal_density,
     linear_reconstruct,
@@ -526,19 +526,6 @@ class TestMleReconstruct:
             assert abs(np.trace(m).real - 1.0) < 1e-12
             assert res.rho.min_eigenvalue() >= -1e-10
 
-    def test_divergence_carries_best_iterate(self, monkeypatch):
-        # the linear estimate lies outside the ball, so the multiplier
-        # root-find has to take at least one step
-        monkeypatch.setattr(tomography, "_MAX_STEPS", 0)
-        recs = (MeasurementRecord("HV", 0.95, 0.05),
-                MeasurementRecord("DA", 0.9, 0.1),
-                MeasurementRecord("RL", 0.8, 0.2))
-        with pytest.raises(MleDivergenceError, match="converge") as exc:
-            mle_reconstruct(recs)
-        res = exc.value.result
-        assert not res.converged
-        assert res.physical
-
     def test_boundary_solutions_meet_kkt(self):
         # records whose per-basis estimate lies outside the ball: the
         # optimum x sits on the sphere with -grad NLL(x) = 2 lambda x,
@@ -566,7 +553,10 @@ class TestMleReconstruct:
         # 399 and 2,500 of powers log-uniform over [1e-320, 1.7e308] with
         # 10 % exact zeros. Each set converges into the ball, onto the
         # sphere when it takes steps, or raises a ValueError that names a
-        # basis or the scale; never MleDivergenceError
+        # basis or the scale. The multiplier takes fewer than 9,800 steps,
+        # the bound `mle_reconstruct` derives from its bracket: at most 65
+        # bisections, each starting a run of Newton steps that at least
+        # halve and move lambda by at least a float spacing
         rng = np.random.default_rng(59)
         sets = [(("HV", 1e308, 1e305), ("DA", 1e-300, 1e-320),
                  ("RL", 1e308, 1e308))]
@@ -591,6 +581,7 @@ class TestMleReconstruct:
                 continue
             x = np.array(res.stokes.as_tuple()[1:])
             assert res.converged and res.physical
+            assert res.iterations < 66 * 54 + 3 * 2074 < 9800
             assert x @ x <= 1.0 + 1e-9
             if res.iterations:
                 assert abs(x @ x - 1.0) < 1e-9
@@ -610,9 +601,9 @@ class TestMleReconstruct:
             (("HV", 5.745228873611274e-249, 0.0),
              ("DA", 2.1808305078142976e-219, 0.0),
              ("RL", 2.209882583045127e-237, 0.0)),
-            # r^2 - 1 is under the stop tolerance, so no multiplier step is
-            # taken; DA's x rounds to 1, so 1 - |x| lost its smaller weight
-            # and the log-likelihood read -inf
+            # r^2 - 1 is 2.5e-15, which a fixed stop tolerance of 1e-12 once
+            # took as solved; DA's x rounds to 1, so 1 - |x| lost its smaller
+            # weight and the log-likelihood read -inf
             (("HV", 1.0, 1.0 + 1e-7), ("DA", 1e20, 1.0), ("RL", 1.0, 1.0)),
         )
         for case in cases:
@@ -853,6 +844,82 @@ class TestMleReconstruct:
         assert s.s3 == pytest.approx(-1.0, abs=1e-15)
         assert abs(s.s1) < 1e-15 and abs(s.s2) < 1e-15
 
+    # Stokes components (s1, s2, s3) of record sets off the ball, from
+    # 80-digit nested-bisection solves (each axis in u = 1 - |x|, the
+    # multiplier bracketed on a log scale); rows are (basis, a, b)
+    HIGH_PRECISION = {
+        # a fixed tolerance of 1e-12 on sum x_i^2 - 1 once stopped the
+        # multiplier with s1 at 8.2e-7
+        "plateau": ((("DA", 1.320774348360533e+89, 2.401518038593522e-10),
+                     ("RL", 8.1232168289566e-60, 3.37041695014325e-67),
+                     ("HV", 3.7983184203697592e-149,
+                      2.3362833549904715e+96)),
+                    (1.1306626794256279049e-7, 4.5944861721219549551e-121,
+                     -0.99999999999999360801)),
+        # r^2 - 1 = 2.5e-15 once stopped the multiplier before its first
+        # step, at s3 = -5.0e-8
+        "no step": ((("DA", 1e20, 1.0), ("HV", 1.0, 1.0 + 1e-7),
+                     ("RL", 1.0, 1.0)),
+                    (0.99999999999999999998, 0.0,
+                     -2.0000000000000000099e-10)),
+        "HV 1.0001": ((("HV", 1.0, 1.0001), ("DA", 1.0, 1e-30),
+                       ("RL", 1.0, 1.0)),
+                      (0.99999999920006399571, 0.0,
+                       -3.9998400067192523144e-5)),
+        # a per-axis solve once crept here for 15 s
+        "1.8e24": ((("HV", 1.820182559043602e24, 1.8201825853885554e24),
+                    ("DA", 1.820182559043602e24, 1.1628011426102769e-9),
+                    ("RL", 1.8202178508945562e24, 1.820182559043602e24)),
+                   (0.99999999996992521938, 7.7556126596014073181e-6,
+                    -5.7895188659912340819e-9)),
+    }
+
+    @pytest.mark.parametrize("name", list(HIGH_PRECISION))
+    def test_boundary_matches_high_precision_literals(self, name):
+        # each component within 16 eps absolute: x_i = 1 - u_i is off by up
+        # to eps u_i, and an axis near 0 keeps only that absolute precision
+        rows, want = self.HIGH_PRECISION[name]
+        res = mle_reconstruct(tuple(MeasurementRecord(*r) for r in rows))
+        got = res.stokes.as_tuple()[1:]
+        assert np.abs(np.subtract(got, want)).max() <= (
+            16 * sys.float_info.epsilon), got
+
+    @pytest.mark.parametrize("name, want", [
+        ("records_counts", (0.020314638459414941749, 0.99158975936795497201,
+                            0.12781652702551581279)),
+        ("records_powers", (0.1270863577186601481, 0.74946575985889555877,
+                            0.64973081540044954585)),
+    ])
+    def test_golden_record_inputs_match_high_precision(self, name, want):
+        # the inputs of the two records goldens; a fixed stop tolerance on
+        # sum x_i^2 - 1 left counts' s3 4.5e-14 off
+        path = Path(__file__).resolve().parent / "inputs" / f"{name}.csv"
+        res = mle_reconstruct(load_measurement_csv(path))
+        got = res.stokes.as_tuple()[1:]
+        assert np.abs(np.subtract(got, want)).max() <= (
+            16 * sys.float_info.epsilon), got
+
+    def test_plateau_log_likelihood(self):
+        # the state's error once put the log-likelihood 1.1e-6 off; the
+        # literal is the 80-digit solve's
+        rows = self.HIGH_PRECISION["plateau"][0]
+        res = mle_reconstruct(tuple(MeasurementRecord(*r) for r in rows))
+        assert res.log_likelihood == pytest.approx(-9.1549094105448936e88,
+                                                   rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("rows", [
+        (("DA", 7.202422810616695e142, 1.4571214108011934e-4),
+         ("RL", 2.69412607983799e-105, 3.545576956872735e-74),
+         ("HV", 1.150684653857898e-81, 2.1104178039988767e-35)),
+        HIGH_PRECISION["plateau"][0],
+        HIGH_PRECISION["HV 1.0001"][0],
+    ])
+    def test_boundary_stokes_holds_no_negative_zero(self, rows):
+        # an axis whose x rounds to 0 on the negative side once gave -0.0
+        res = mle_reconstruct(tuple(MeasurementRecord(*r) for r in rows))
+        s = res.stokes.as_tuple()
+        assert not [v for v in s if v == 0.0 and math.copysign(1.0, v) < 0], s
+
     # warm starts for the per-axis solve: the restart value 1, inside, and
     # at or below the end, which restarts from 1
     WARM_STARTS = (1.0, 0.5, 0.1, 1e-300, 0.0, -1.0)
@@ -872,6 +939,18 @@ class TestMleReconstruct:
     def test_axis_root_equal_weights_sit_at_the_centre(self, w, lam):
         for u0 in self.WARM_STARTS:
             assert tomography._axis_root(w, 2.0 * w, lam, u0) == 1.0
+
+    def test_axis_root_does_not_creep(self):
+        # n - 4 lam is 1e-6 of n and the root is 1e-10: the product
+        # (1 - u)(2 - u) rounded 3u away below about eps, so h stayed flat
+        # while its slope did not, and Newton crept for 24,949,402 steps to
+        # a u 1.2e-7 off. The literal is the root from a 200-digit solve
+        want = 9.976346373944762340e-11
+        for u0 in (3.577121700771492e-08,) + self.WARM_STARTS:
+            u = tomography._axis_root(1.9552450059711698e+118,
+                                      3.013711828383354e+152,
+                                      7.534279572085853e+151, u0)
+            assert abs(u - want) <= 2 * math.ulp(want), (u0, u)
 
     def test_axis_root_zero_weight(self):
         # u = 0 (the end) while lam <= n/4; past that, the root of
